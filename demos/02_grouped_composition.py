@@ -32,7 +32,7 @@ print(f"3-rank = {p_rank(s.design, 3)}, minimum possible = {min_rank(21)}")
 # The composition is a bijection: decompose recovers every ingredient.
 back = decompose(s, 1)
 print("decompose(compose(d)) == d:", back == dec)
-print("sub-system orders:", [sub.v for sub in back.sub_stss])
+print("sub-system orders:", [sub.v for sub in back.sub_systems])
 print("transversal designs:", {k: len(td.blocks) for k, td in back.tds.items()})
 
 # Block counts always satisfy the splitting identity.

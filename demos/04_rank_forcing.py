@@ -24,7 +24,7 @@ from trisys import (
 # design: the dual grows one dimension too large.
 ag2 = affine_geometry(2).sts
 dec = Decomposition(
-    k=1, T=9, sub_stss=(ag2, ag2, ag2),
+    k=1, T=9, sub_systems=(ag2, ag2, ag2),
     tds={(0, 1, 2): td_from_latin(latin_with_mate(9)[0])},
 )
 s = compose(dec)

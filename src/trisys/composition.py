@@ -4,10 +4,12 @@ A system on v = 3^k * T points orthogonal to the layout code G(v,k)
 splits uniquely into 3^k sub-systems of order T (one per point group
 S_i = {iT..(i+1)T-1}) plus one transversal design per zero-sum triple of
 groups; compose/decompose realize the two directions of that bijection.
-The (t)-split variant coarsens the grouping to 3^(k-t) super-groups and
-composes from sub-systems that are themselves orthogonal to their local
-layout code.  Resolution assembly merges ingredient resolutions into a
-resolution of the composed system.
+A Decomposition at split level t coarsens the grouping to 3^(k-t)
+super-groups of 3^t point groups each: its sub-systems have order
+3^t * T and are themselves orthogonal to their local layout code, and
+only the triples meeting more than one super-group carry a TD.  The
+plain grouping is t = 0.  Resolution assembly merges ingredient
+resolutions into a resolution of the composed system.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .designs import (
     Resolution,
     StsInstance,
     TdInstance,
+    canonical_td_groups,
     permute_sts,
     td_from_latin,
     verify_resolution,
@@ -40,10 +43,6 @@ def ag_blocks(k: int) -> tuple[Triple, ...]:
     return affine_geometry(k).sts.design.blocks
 
 
-def canonical_td_groups(t: int) -> tuple[tuple[int, ...], ...]:
-    return (tuple(range(t)), tuple(range(t, 2 * t)), tuple(range(2 * t, 3 * t)))
-
-
 def _check_td(td: TdInstance, t: int, where: str) -> None:
     if td.w != t or td.groups != canonical_td_groups(t):
         raise ValueError(f"{where}: TD must have canonical groups of size {t}")
@@ -51,42 +50,51 @@ def _check_td(td: TdInstance, t: int, where: str) -> None:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Ingredients of a composed system: 3^k sub-systems plus one TD per
-    group triple.  Sub-system i uses local points 0..T-1 and is embedded
-    on S_i; the TD keyed by sorted triple (i1,i2,i3) uses canonical local
-    groups mapped onto S_i1, S_i2, S_i3 in order."""
+    """Ingredients of a composed system at split level t (0 <= t <= k):
+    3^(k-t) sub-systems of order m = 3^t * T, each orthogonal to its local
+    layout code G(m, t), plus one TD per zero-sum group triple that meets
+    more than one super-group.  Sub-system j uses local points 0..m-1 and
+    is embedded on points j*m..(j+1)*m-1; the TD keyed by sorted triple
+    (i1,i2,i3) uses canonical local groups mapped onto S_i1, S_i2, S_i3 in
+    order.  The plain case t = 0 has 3^k sub-systems of order T and a TD
+    for every zero-sum triple."""
 
     k: int
     T: int
-    sub_stss: tuple[StsInstance, ...]
+    sub_systems: tuple[StsInstance, ...]
     tds: Mapping[Triple, TdInstance]
+    t: int = 0
 
     def __post_init__(self):
-        if self.k < 0 or self.T < 1:
-            raise ValueError(f"need k >= 0 and T >= 1, got k={self.k}, T={self.T}")
-        object.__setattr__(self, "sub_stss", tuple(self.sub_stss))
+        if not 0 <= self.t <= self.k or self.T < 1:
+            raise ValueError(
+                f"need 0 <= t <= k and T >= 1, got k={self.k}, t={self.t}, T={self.T}"
+            )
+        object.__setattr__(self, "sub_systems", tuple(self.sub_systems))
         object.__setattr__(
             self, "tds", {tuple(sorted(key)): td for key, td in self.tds.items()}
         )
-        m = 3**self.k
-        if len(self.sub_stss) != m:
-            raise ValueError(f"expected {m} sub-systems, got {len(self.sub_stss)}")
-        for s in self.sub_stss:
-            if s.v != self.T:
-                raise ValueError(f"sub-system has order {s.v}, expected {self.T}")
-        expected = set(ag_blocks(self.k))
-        if set(self.tds) != expected:
-            raise ValueError("TD keys must be exactly the zero-sum group triples")
+        n = 3 ** (self.k - self.t)
+        m = 3**self.t * self.T
+        if len(self.sub_systems) != n:
+            raise ValueError(f"expected {n} sub-systems, got {len(self.sub_systems)}")
+        local = gf3.row_space(gf3.generator_gvk(m, self.t))
+        for j, sub in enumerate(self.sub_systems):
+            if sub.v != m:
+                raise ValueError(f"sub-system {j} has order {sub.v}, expected {m}")
+            if not gf3.is_orthogonal(sub, local):
+                raise ValueError(
+                    f"sub-system {j} is not orthogonal to its local G({m},{self.t})"
+                )
+        _, outer = split_ag(self.k, self.t)
+        if set(self.tds) != set(outer):
+            raise ValueError("TD keys must be exactly the cross-group triples")
         for key, td in self.tds.items():
             _check_td(td, self.T, f"triple {key}")
 
     @property
     def v(self) -> int:
         return 3**self.k * self.T
-
-
-def _embed_sub(block: Block, i: int, t: int) -> Block:
-    return (i * t + block[0], i * t + block[1], i * t + block[2])
 
 
 def _embed_td(block: Block, triple: Triple, t: int) -> Block:
@@ -96,15 +104,22 @@ def _embed_td(block: Block, triple: Triple, t: int) -> Block:
 def compose(d: Decomposition) -> StsInstance:
     """Union of embedded sub-system and TD blocks; a triple system on
     3^k * T points orthogonal to G(v, k)."""
-    t = d.T
+    m = 3**d.t * d.T
     blocks: list[Block] = []
-    for i, sub in enumerate(d.sub_stss):
-        blocks.extend(_embed_sub(b, i, t) for b in sub.blocks)
+    for j, sub in enumerate(d.sub_systems):
+        blocks.extend(tuple(p + j * m for p in b) for b in sub.blocks)
     for triple in sorted(d.tds):
-        blocks.extend(_embed_td(b, triple, t) for b in d.tds[triple].blocks)
+        blocks.extend(_embed_td(b, triple, d.T) for b in d.tds[triple].blocks)
     sts = StsInstance(BlockDesign(d.v, tuple(blocks)))
-    assert gf3.is_orthogonal(sts, gf3.row_space(gf3.generator_gvk(d.v, d.k)))
+    if not gf3.is_orthogonal(sts, gf3.row_space(gf3.generator_gvk(d.v, d.k))):
+        raise AssertionError(f"composed system is not orthogonal to G({d.v},{d.k})")
     return sts
+
+
+# The split decomposition is the plain type with t > 0; the names it had
+# as a separate type stay importable.
+SplitDecomposition = Decomposition
+compose_split = compose
 
 
 def decompose(s: StsInstance, k: int) -> Decomposition:
@@ -142,7 +157,7 @@ def decompose(s: StsInstance, k: int) -> Decomposition:
         triple: TdInstance(BlockDesign(3 * t, tuple(bs)), canonical_td_groups(t))
         for triple, bs in td_blocks.items()
     }
-    return Decomposition(k=k, T=t, sub_stss=subs, tds=tds)
+    return Decomposition(k=k, T=t, sub_systems=subs, tds=tds)
 
 
 def split_ag(k: int, t: int) -> tuple[list[list[Triple]], list[Triple]]:
@@ -162,64 +177,6 @@ def split_ag(k: int, t: int) -> tuple[list[list[Triple]], list[Triple]]:
     return inner, outer
 
 
-@dataclass(frozen=True)
-class SplitDecomposition:
-    """Coarse-grouped ingredients: 3^(k-t) sub-systems of order 3^t * T,
-    each orthogonal to its local layout code G(3^t*T, t), plus one TD per
-    cross-group zero-sum triple."""
-
-    k: int
-    t: int
-    T: int
-    sub_systems: tuple[StsInstance, ...]
-    tds: Mapping[Triple, TdInstance]
-
-    def __post_init__(self):
-        if not 0 <= self.t <= self.k or self.T < 1:
-            raise ValueError(
-                f"need 0 <= t <= k and T >= 1, got k={self.k}, t={self.t}, T={self.T}"
-            )
-        object.__setattr__(self, "sub_systems", tuple(self.sub_systems))
-        object.__setattr__(
-            self, "tds", {tuple(sorted(key)): td for key, td in self.tds.items()}
-        )
-        n = 3 ** (self.k - self.t)
-        m = 3**self.t * self.T
-        if len(self.sub_systems) != n:
-            raise ValueError(f"expected {n} sub-systems, got {len(self.sub_systems)}")
-        local = gf3.row_space(gf3.generator_gvk(m, self.t))
-        for j, sub in enumerate(self.sub_systems):
-            if sub.v != m:
-                raise ValueError(f"sub-system {j} has order {sub.v}, expected {m}")
-            if not gf3.is_orthogonal(sub, local):
-                raise ValueError(
-                    f"sub-system {j} is not orthogonal to its local G({m},{self.t})"
-                )
-        _, outer = split_ag(self.k, self.t)
-        if set(self.tds) != set(outer):
-            raise ValueError("TD keys must be exactly the cross-group triples")
-        for key, td in self.tds.items():
-            _check_td(td, self.T, f"triple {key}")
-
-    @property
-    def v(self) -> int:
-        return 3**self.k * self.T
-
-
-def compose_split(sd: SplitDecomposition) -> StsInstance:
-    """Union per the coarse grouping; reduces to compose when t = 0."""
-    t = sd.T
-    m = 3**sd.t * t
-    blocks: list[Block] = []
-    for j, sub in enumerate(sd.sub_systems):
-        blocks.extend(tuple(p + j * m for p in b) for b in sub.blocks)
-    for triple in sorted(sd.tds):
-        blocks.extend(_embed_td(b, triple, t) for b in sd.tds[triple].blocks)
-    sts = StsInstance(BlockDesign(sd.v, tuple(blocks)))
-    assert gf3.is_orthogonal(sts, gf3.row_space(gf3.generator_gvk(sd.v, sd.k)))
-    return sts
-
-
 def split_standard_resolution(k: int) -> tuple[BlockDesign, Resolution]:
     """The cross-group blocks for t = 1 with the translation resolution
     minus its one inner class (the class holding block (0,1,2))."""
@@ -232,7 +189,8 @@ def split_standard_resolution(k: int) -> tuple[BlockDesign, Resolution]:
         if all_blocks.index((0, 1, 2)) in cls:
             deleted = cls
             break
-    assert deleted is not None and {all_blocks[i] for i in deleted} == inner_set
+    if deleted is None or {all_blocks[i] for i in deleted} != inner_set:
+        raise AssertionError("the class of (0,1,2) is not the inner blocks of AG(k)")
     remainder = BlockDesign(3**k, tuple(outer))
     index = remainder.block_index()
     classes = tuple(
@@ -243,14 +201,8 @@ def split_standard_resolution(k: int) -> tuple[BlockDesign, Resolution]:
     return remainder, Resolution(classes)
 
 
-def _outer_design(dec) -> BlockDesign:
-    if isinstance(dec, Decomposition):
-        return BlockDesign(3**dec.k, ag_blocks(dec.k))
-    return BlockDesign(3**dec.k, tuple(split_ag(dec.k, dec.t)[1]))
-
-
 def compose_resolution(
-    dec: Decomposition | SplitDecomposition,
+    dec: Decomposition,
     sub_resolutions: Sequence[Resolution],
     td_resolutions: Mapping[Triple, Resolution],
     outer_resolution: Resolution,
@@ -260,12 +212,12 @@ def compose_resolution(
     Produces (v-1)/2 classes: each sub-system class index contributes one
     merged class, and each (outer class, TD class index) pair contributes
     one class merged across that outer class's transversal designs.  The
-    outer resolution indexes the group-level block list (all zero-sum
-    triples for a plain decomposition, the cross-group ones for a split).
+    outer resolution indexes the cross-group triples in sorted order: all
+    zero-sum triples for t = 0, those meeting more than one super-group
+    otherwise.
     """
-    plain = isinstance(dec, Decomposition)
-    subs = dec.sub_stss if plain else dec.sub_systems
-    sub_order = dec.T if plain else 3**dec.t * dec.T
+    subs = dec.sub_systems
+    m = 3**dec.t * dec.T
     if len(sub_resolutions) != len(subs):
         raise ValueError("one resolution per sub-system is required")
     for s, r in zip(subs, sub_resolutions):
@@ -279,22 +231,20 @@ def compose_resolution(
         rep = verify_resolution(dec.tds[key].design, r)
         if not rep.ok:
             raise ValueError(f"invalid TD resolution at {key}: {rep.violations[0]}")
-    outer = _outer_design(dec)
+    outer = BlockDesign(3**dec.k, tuple(split_ag(dec.k, dec.t)[1]))
     rep = verify_resolution(outer, outer_resolution)
     if not rep.ok:
         raise ValueError(f"invalid outer resolution: {rep.violations[0]}")
 
-    composed = compose(dec) if plain else compose_split(dec)
+    composed = compose(dec)
     index = composed.design.block_index()
     t = dec.T
     classes: list[tuple[int, ...]] = []
-    for j in range((sub_order - 1) // 2):
+    for j in range((m - 1) // 2):
         merged = []
         for i, (sub, res) in enumerate(zip(subs, sub_resolutions)):
             for bi in res.classes[j]:
-                b = sub.blocks[bi]
-                emb = _embed_sub(b, i, t) if plain else tuple(p + i * sub_order for p in b)
-                merged.append(index[emb])
+                merged.append(index[tuple(p + i * m for p in sub.blocks[bi])])
         classes.append(tuple(sorted(merged)))
     for outer_cls in outer_resolution.classes:
         triples = [outer.blocks[i] for i in outer_cls]
@@ -332,4 +282,4 @@ def random_decomposition(k: int, t: int, rng: random.Random) -> Decomposition:
     tds = {
         triple: td_from_latin(random_latin(t, rng)) for triple in ag_blocks(k)
     }
-    return Decomposition(k=k, T=t, sub_stss=subs, tds=tds)
+    return Decomposition(k=k, T=t, sub_systems=subs, tds=tds)

@@ -212,7 +212,7 @@ def _resolvable_by_composition(t, limits):
     td = td_from_latin(main)
     td_res = resolve_td(main, mate)
     ag1 = affine_geometry(1)
-    dec = Decomposition(k=1, T=t // 3, sub_stss=(sub_sts,) * 3, tds={(0, 1, 2): td})
+    dec = Decomposition(k=1, T=t // 3, sub_systems=(sub_sts,) * 3, tds={(0, 1, 2): td})
     res = compose_resolution(
         dec,
         sub_resolutions=(sub_res,) * 3,

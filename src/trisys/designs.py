@@ -257,16 +257,16 @@ def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
     return len(pairs) == a.order * a.order
 
 
+def canonical_td_groups(t: int) -> tuple[tuple[int, ...], ...]:
+    """The groups {0..t-1}, {t..2t-1}, {2t..3t-1} of a TD of group size t."""
+    return (tuple(range(t)), tuple(range(t, 2 * t)), tuple(range(2 * t, 3 * t)))
+
+
 def td_from_latin(sq: LatinSquare) -> TdInstance:
     """The standard correspondence: block {r, T+c, 2T+L(r,c)} per cell."""
     t = sq.order
     blocks = [(r, t + c, 2 * t + sq.cells[r][c]) for r in range(t) for c in range(t)]
-    groups = (
-        tuple(range(t)),
-        tuple(range(t, 2 * t)),
-        tuple(range(2 * t, 3 * t)),
-    )
-    return TdInstance(BlockDesign(3 * t, tuple(blocks)), groups)
+    return TdInstance(BlockDesign(3 * t, tuple(blocks)), canonical_td_groups(t))
 
 
 def resolve_td(sq: LatinSquare, mate: LatinSquare) -> Resolution:

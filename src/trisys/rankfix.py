@@ -15,7 +15,8 @@ import numpy as np
 
 from . import gf3
 from .composition import Decomposition, compose
-from .designs import BlockDesign, StsInstance, dual_space, p_rank, permute_sts
+from .constructions import tuple_index
+from .designs import BlockDesign, StsInstance, dual_space, permute_sts
 
 
 class StructureViolation(ValueError):
@@ -57,6 +58,20 @@ class PointPermutation:
         return gf3.permute_subspace(s, self.image)
 
 
+def _extend_basis(rows: list[np.ndarray], d: gf3.Subspace) -> list[np.ndarray]:
+    """Basis rows of d that complete the independent rows, all lying in d,
+    to a basis of d."""
+    rows = list(rows)
+    extension = []
+    for row in d.basis:
+        if gf3.rank(np.vstack(rows + [row])) > len(rows):
+            rows.append(row)
+            extension.append(row)
+    if len(rows) != d.dim:
+        raise AssertionError(f"extended basis has {len(rows)} rows, expected {d.dim}")
+    return extension
+
+
 def _basis_with_allone_first(d: gf3.Subspace) -> np.ndarray:
     """Rows completing the all-one vector to a basis of the subspace."""
     n = d.ambient_dim
@@ -65,12 +80,7 @@ def _basis_with_allone_first(d: gf3.Subspace) -> np.ndarray:
         raise StructureViolation(
             "dual space does not contain the all-one vector (corrupt design data)"
         )
-    rows = [ones]
-    for row in d.basis:
-        if gf3.rank(np.vstack(rows + [row])) > len(rows):
-            rows.append(row)
-    assert len(rows) == d.dim
-    return np.array(rows[1:], dtype=np.int64).reshape(d.dim - 1, n)
+    return np.array(_extend_basis([ones], d), dtype=np.int64).reshape(d.dim - 1, n)
 
 
 def _column_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
@@ -164,13 +174,7 @@ def perm_intersection(T: int, t: int) -> PointPermutation:
         c = mix_matrix(t)
 
         def pos(tup) -> int:
-            return tuple_value(tup) * m
-
-        def tuple_value(tup) -> int:
-            val = 0
-            for x in tup:
-                val = 3 * val + int(x)
-            return val
+            return tuple_index(tup) * m
 
         mapping: dict[int, int] = {0: 0}
         for i in range(1, t + 1):
@@ -215,17 +219,21 @@ def force_exact_rank(d: Decomposition) -> StsInstance:
     first sub-system's own dual (sigma, l); pick the intersection
     permutation at level t = max(l, k'-k); reinsert the sub-system
     through that permutation, undoing the within-group sorting so that
-    all blocks outside the first group stay untouched.  The resulting
-    rank v-k-1 is recomputed, never trusted.
+    all blocks outside the first group stay untouched.  The dual space of
+    the result is recomputed and compared with the row space of
+    G(v, k), never trusted; rank v-k-1 follows by rank-nullity.  Defined
+    for the plain grouping (t = 0) only.
     """
     k, t_order = d.k, d.T
+    if d.t != 0:
+        raise ValueError("force_exact_rank needs a plain (t = 0) decomposition")
     if k < 1:
         raise ValueError("k must be >= 1")
     if t_order <= 3:
         raise ValueError("sub-system order must exceed 3")
     v = d.v
     full = compose(d)
-    first = {(_sub_block(b, 0, t_order)) for b in d.sub_stss[0].blocks}
+    first = set(d.sub_systems[0].blocks)
     rest = tuple(b for b in full.blocks if b not in first)
     b_minus = BlockDesign(v, rest)
     dual_minus = dual_space(b_minus)
@@ -236,13 +244,7 @@ def force_exact_rank(d: Decomposition) -> StsInstance:
     kprime = dual_minus.dim - 1
 
     # Rows extending the layout code to a basis of the bigger dual.
-    rows = [np.asarray(r, dtype=np.int64) for r in layout]
-    extension: list[np.ndarray] = []
-    for row in dual_minus.basis:
-        if gf3.rank(np.vstack(rows + [row])) > len(rows):
-            rows.append(row)
-            extension.append(row)
-    assert len(extension) == kprime - k
+    extension = _extend_basis(list(layout), dual_minus)
 
     if extension:
         local = np.array([r[:t_order] for r in extension], dtype=np.int64)
@@ -252,21 +254,15 @@ def force_exact_rank(d: Decomposition) -> StsInstance:
     else:
         tau0 = PointPermutation.identity(t_order)
 
-    sigma, l = dual_canonicalize(d.sub_stss[0])
+    sigma, l = dual_canonicalize(d.sub_systems[0])
     level = max(l if l >= 0 else 0, kprime - k)
     pi = perm_intersection(t_order, level)
     relabel = tau0.inverse().after(pi.after(sigma))
-    replaced = relabel.apply_sts(d.sub_stss[0])
+    replaced = relabel.apply_sts(d.sub_systems[0])
 
-    blocks = rest + tuple(_sub_block(b, 0, t_order) for b in replaced.blocks)
-    result = StsInstance(BlockDesign(v, blocks))
+    result = StsInstance(BlockDesign(v, rest + replaced.blocks))
 
     target = gf3.row_space(layout)
     if dual_space(result.design) != target:
         raise AssertionError("rank forcing failed: dual space is not the layout code")
-    assert p_rank(result.design, 3) == v - k - 1
     return result
-
-
-def _sub_block(block, i: int, t: int):
-    return (i * t + block[0], i * t + block[1], i * t + block[2])

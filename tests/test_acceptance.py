@@ -123,7 +123,7 @@ def test_criterion_4_resolvable_45_pipeline():
     sts15, res15 = kts15()
     main, mate = latin_with_mate(15)
     dec = Decomposition(
-        k=1, T=15, sub_stss=(sts15,) * 3, tds={(0, 1, 2): td_from_latin(main)}
+        k=1, T=15, sub_systems=(sts15,) * 3, tds={(0, 1, 2): td_from_latin(main)}
     )
     res45 = compose_resolution(
         dec,
@@ -154,7 +154,7 @@ def test_criterion_5_resolvable_63_pipeline():
     budget_hit = False
     for triple in candidates:
         subs = tuple(StsInstance(BlockDesign(7, f)) for f in triple)
-        dec = Decomposition(k=1, T=7, sub_stss=subs, tds={(0, 1, 2): td7})
+        dec = Decomposition(k=1, T=7, sub_systems=subs, tds={(0, 1, 2): td7})
         candidate = compose(dec)
         assert p_rank(candidate.design, 3) == 19
         assert gf3.is_orthogonal(candidate, gf3.row_space(gf3.generator_gvk(21, 1)))
@@ -172,7 +172,7 @@ def test_criterion_5_resolvable_63_pipeline():
         assert budget_hit, "search exhausted all candidates without a budget stop"
         print("criterion 5: DOWNGRADED (resolution search exceeded budget)")
         base = tuple(StsInstance(BlockDesign(7, f)) for f in candidates[0])
-        dec = Decomposition(k=1, T=7, sub_stss=base, tds={(0, 1, 2): td7})
+        dec = Decomposition(k=1, T=7, sub_systems=base, tds={(0, 1, 2): td7})
         sub = compose(dec)
         sd = SplitDecomposition(
             k=2, t=1, T=7, sub_systems=(sub,) * 3, tds={b: td7 for b in outer}
@@ -217,7 +217,7 @@ def test_criterion_6_rank_forcing_machinery():
 
     ag2 = affine_geometry(2).sts
     dec = Decomposition(
-        k=1, T=9, sub_stss=(ag2,) * 3,
+        k=1, T=9, sub_systems=(ag2,) * 3,
         tds={(0, 1, 2): td_from_latin(latin_with_mate(9)[0])},
     )
     composed = compose(dec)

@@ -1,0 +1,69 @@
+"""Byte-for-byte pins of the design files the CLI writes for fixed seeds.
+
+The digests were recorded from the two-class composition code (separate
+plain and split decompositions) before the two were merged, so these
+tests show the merged code writes exactly the same files.
+"""
+
+import hashlib
+
+import pytest
+
+from trisys.cli import main
+
+COMPOSE_DIGESTS = {
+    (1, 7, 0, 0): (
+        "v=21 blocks=70 rank3=19 resolution=none",
+        "8f5bd6f7d8f1e53a63b334b061e1657ca0433b906135347aded7f74f7270dc7d",
+    ),
+    (2, 7, 0, 3): (
+        "v=63 blocks=651 rank3=60 resolution=none",
+        "4fb96244f90396187a9b23af71f13305d9e8c8973b905017a47f498e08781058",
+    ),
+    (3, 7, 0, 1): (
+        "v=189 blocks=5922 rank3=185 resolution=none",
+        "f921117a298e219ece2e328d17dddb1a534edfbdc2024fee615a57be34aca02e",
+    ),
+    (2, 3, 1, 2): (
+        "v=27 blocks=117 rank3=24 resolution=none",
+        "d2a7080301e9c9cb9e5c818207a380e540074e61841e1dbfcfb50c70f4d22550",
+    ),
+    (3, 7, 2, 5): (
+        "v=189 blocks=5922 rank3=185 resolution=none",
+        "0fcb704f2fd92a14940e4a5df90e1608b1fa090bd8c1623842fc274d7bc6c2d0",
+    ),
+    (2, 9, 2, 1): (
+        "v=81 blocks=1080 rank3=78 resolution=none",
+        "b9aa401f5ad4320f8b897b518a0ec45686637c53c210eb40e76e51abdb29eac2",
+    ),
+}
+
+FORCED_DIGEST = "3a29c8b548c897e81ccfe7ebc3fc2033106673acac5f1e95d532eaf5f4fb66f6"
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def compose_file(tmp_path, capsys, k, T, t, seed):
+    out = tmp_path / f"c-{k}-{T}-{t}-{seed}"
+    argv = ["construct", "compose", "--k", str(k), "--T", str(T), "--t", str(t),
+            "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 0
+    return tmp_path / f"{out.name}.sts.jsonl", capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("case", sorted(COMPOSE_DIGESTS))
+def test_construct_compose_golden(tmp_path, capsys, case):
+    path, summary = compose_file(tmp_path, capsys, *case)
+    want_summary, want_digest = COMPOSE_DIGESTS[case]
+    assert summary == want_summary
+    assert sha256(path) == want_digest
+
+
+def test_force_rank_golden(tmp_path, capsys):
+    path, _ = compose_file(tmp_path, capsys, 2, 7, 0, 3)
+    forced = tmp_path / "forced"
+    assert main(["construct", "force-rank", "--in", str(path), "--out", str(forced)]) == 0
+    assert capsys.readouterr().out.strip() == "v=63 blocks=651 rank3=60 resolution=none"
+    assert sha256(tmp_path / "forced.sts.jsonl") == FORCED_DIGEST

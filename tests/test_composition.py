@@ -14,6 +14,7 @@ from trisys.composition import (
     compose_split,
     decompose,
     random_decomposition,
+    random_latin,
     split_ag,
     split_standard_resolution,
 )
@@ -31,7 +32,7 @@ def linear_decomposition(k, t):
     """All sub-systems the stock one, all TDs from the cyclic square."""
     sub = small_sts(t)
     td = td_from_latin(latin_with_mate(t)[0])
-    return Decomposition(k=k, T=t, sub_stss=(sub,) * 3**k, tds={b: td for b in ag_blocks(k)})
+    return Decomposition(k=k, T=t, sub_systems=(sub,) * 3**k, tds={b: td for b in ag_blocks(k)})
 
 
 def test_compose_k1_t3():
@@ -82,12 +83,20 @@ def test_roundtrip_random_decompositions():
             assert gf3.is_orthogonal(s, gf3.row_space(gf3.generator_gvk(3 * t, 1)))
             assert decompose(s, 1) == dec
             assert compose(decompose(s, 1)).blocks == s.blocks
+    for k in range(3):
+        for t in range(k + 1):
+            for order in (3, 7):
+                d = random_split_decomposition(k, order, t, rng)
+                s = compose(d)
+                assert compose(decompose(s, k)).blocks == s.blocks
+                if t == 0:
+                    assert decompose(s, k) == d
 
 
 def test_decompose_ag2_at_k1():
     dec = decompose(affine_geometry(2).sts, 1)
     assert dec.T == 3
-    assert all(sub.blocks == ((0, 1, 2),) for sub in dec.sub_stss)
+    assert all(sub.blocks == ((0, 1, 2),) for sub in dec.sub_systems)
     assert set(dec.tds) == {(0, 1, 2)}
     assert len(dec.tds[(0, 1, 2)].blocks) == 9
 
@@ -139,6 +148,15 @@ def test_split_ag_rejects_bad_t():
         split_ag(2, 3)
 
 
+def random_split_decomposition(k, order, t, rng):
+    """The `construct compose --t` recipe: random composed sub-systems of
+    order 3^t * order, random Latin-square TDs on the cross-group triples."""
+    subs = tuple(compose(random_decomposition(t, order, rng)) for _ in range(3 ** (k - t)))
+    _, outer = split_ag(k, t)
+    tds = {b: td_from_latin(random_latin(order, rng)) for b in outer}
+    return Decomposition(k=k, T=order, sub_systems=subs, tds=tds, t=t)
+
+
 def split_ingredients(k, t_order):
     """Sub-systems from k=1 compositions, cross TDs from the cyclic square."""
     sub = compose(linear_decomposition(1, t_order))
@@ -167,7 +185,7 @@ def test_compose_split_t_equals_k_is_embedding():
 
 def test_compose_split_t0_equals_compose():
     dec = linear_decomposition(2, 3)
-    sd = SplitDecomposition(k=2, t=0, T=3, sub_systems=dec.sub_stss, tds=dict(dec.tds))
+    sd = SplitDecomposition(k=2, t=0, T=3, sub_systems=dec.sub_systems, tds=dict(dec.tds))
     assert compose_split(sd).blocks == compose(dec).blocks
 
 
@@ -215,7 +233,7 @@ def test_compose_resolution_k1_t15():
     sts15, res15 = kts15()
     main, mate = latin_with_mate(15)
     dec = Decomposition(
-        k=1, T=15, sub_stss=(sts15,) * 3, tds={(0, 1, 2): td_from_latin(main)}
+        k=1, T=15, sub_systems=(sts15,) * 3, tds={(0, 1, 2): td_from_latin(main)}
     )
     res = compose_resolution(
         dec,

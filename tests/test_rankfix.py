@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trisys import gf3
-from trisys.composition import Decomposition, compose, random_decomposition
+from trisys.composition import Decomposition, compose, random_decomposition, split_ag
 from trisys.constructions import affine_geometry, kts15, latin_with_mate, small_sts
 from trisys.designs import (
     BlockDesign,
@@ -31,7 +31,7 @@ def aligned_decomposition(t):
     """Identical sub-systems plus the cyclic TD; prone to rank collapse."""
     sub = small_sts(t) if t != 9 else affine_geometry(2).sts
     td = td_from_latin(latin_with_mate(t)[0])
-    return Decomposition(k=1, T=t, sub_stss=(sub,) * 3, tds={(0, 1, 2): td})
+    return Decomposition(k=1, T=t, sub_systems=(sub,) * 3, tds={(0, 1, 2): td})
 
 
 def test_point_permutation_validation():
@@ -194,7 +194,7 @@ def test_force_exact_rank_aligned_ag2():
 def test_force_exact_rank_kts15_ingredients():
     sts15, res15 = kts15()
     td = td_from_latin(latin_with_mate(15)[0])
-    dec = Decomposition(k=1, T=15, sub_stss=(sts15,) * 3, tds={(0, 1, 2): td})
+    dec = Decomposition(k=1, T=15, sub_systems=(sts15,) * 3, tds={(0, 1, 2): td})
     forced = force_exact_rank(dec)
     assert p_rank(forced.design, 3) == 43
 
@@ -217,10 +217,10 @@ def test_force_exact_rank_preserves_resolvability():
 
     sts15, res15 = kts15()
     main, mate = latin_with_mate(15)
-    dec = Decomposition(k=1, T=15, sub_stss=(sts15,) * 3, tds={(0, 1, 2): td_from_latin(main)})
+    dec = Decomposition(k=1, T=15, sub_systems=(sts15,) * 3, tds={(0, 1, 2): td_from_latin(main)})
     forced = force_exact_rank(dec)
     dec_after = decompose(forced, 1)
-    new_first_res = find_resolution(dec_after.sub_stss[0])
+    new_first_res = find_resolution(dec_after.sub_systems[0])
     assert new_first_res is not None
     res = compose_resolution(
         dec_after,
@@ -262,4 +262,12 @@ def test_force_exact_rank_rejects_small_orders():
         force_exact_rank(aligned_decomposition(3))
     dec = aligned_decomposition(9)
     with pytest.raises(ValueError):
-        force_exact_rank(Decomposition(k=0, T=9, sub_stss=(dec.sub_stss[0],), tds={}))
+        force_exact_rank(Decomposition(k=0, T=9, sub_systems=(dec.sub_systems[0],), tds={}))
+    # Rank forcing is defined for the plain grouping only.
+    td = dec.tds[(0, 1, 2)]
+    split = Decomposition(
+        k=2, T=9, t=1, sub_systems=(compose(dec),) * 3,
+        tds={b: td for b in split_ag(2, 1)[1]},
+    )
+    with pytest.raises(ValueError, match="t = 0"):
+        force_exact_rank(split)
