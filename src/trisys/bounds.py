@@ -155,5 +155,6 @@ def bound_rcw(T: int) -> BoundReport:
 def example_n3_bound() -> int:
     """The stock transversal-design count bound 3! * 7!^3 / 1764 = 435456000."""
     num = factorial(3) * factorial(7) ** 3
-    assert num % 1764 == 0
+    if num % 1764 != 0:
+        raise AssertionError("1764 does not divide 3! * 7!^3")
     return num // 1764

@@ -64,11 +64,9 @@ class _BadParams(Exception):
     pass
 
 
-def _summary(s: StsInstance, resolution_attached: bool) -> str:
+def _summary(s: StsInstance, rank3: int, resolution_attached: bool) -> str:
     res = "attached" if resolution_attached else "none"
-    return (
-        f"v={s.v} blocks={len(s.blocks)} rank3={p_rank(s.design, 3)} resolution={res}"
-    )
+    return f"v={s.v} blocks={len(s.blocks)} rank3={rank3} resolution={res}"
 
 
 def _cmd_construct(args) -> int:
@@ -83,14 +81,14 @@ def _cmd_construct(args) -> int:
             f"{out}.resolution.jsonl",
             resolution_record(ag.sts.design, ag.standard_resolution),
         )
-        print(_summary(ag.sts, True))
+        print(_summary(ag.sts, p_rank(ag.sts.design, 3), True))
     elif args.what == "sts":
         if args.T < 1 or args.T % 6 not in (1, 3):
             raise _BadParams("--T must be 1 or 3 (mod 6)")
         s = small_sts(args.T)
         out = out or f"sts-T{args.T}"
         _write(f"{out}.sts.jsonl", sts_record(s, t=args.T))
-        print(_summary(s, False))
+        print(_summary(s, p_rank(s.design, 3), False))
     elif args.what == "compose":
         if args.k < 1 or args.T < 1 or args.T % 6 not in (1, 3):
             raise _BadParams("--k must be >= 1 and --T admissible (1 or 3 mod 6)")
@@ -115,7 +113,7 @@ def _cmd_construct(args) -> int:
             + f"-seed{args.seed}"
         )
         _write(f"{out}.sts.jsonl", sts_record(s, k=args.k, t=args.T, kind="decomposition"))
-        print(_summary(s, False))
+        print(_summary(s, p_rank(s.design, 3), False))
     elif args.what == "force-rank":
         rec = _read_checked(args.infile)
         if rec.kind != "decomposition" or rec.k is None:
@@ -125,7 +123,9 @@ def _cmd_construct(args) -> int:
         forced = force_exact_rank(dec)
         out = out or "forced"
         _write(f"{out}.sts.jsonl", sts_record(forced, k=rec.k))
-        print(_summary(forced, False))
+        # force_exact_rank proved dual = row space of G(v,k), of dimension
+        # k+1, so the rank is v-k-1 by rank-nullity.
+        print(_summary(forced, forced.v - rec.k - 1, False))
     elif args.what == "resolve":
         rec = _read_checked(args.infile)
         if rec.kind not in ("sts", "decomposition"):
@@ -139,7 +139,7 @@ def _cmd_construct(args) -> int:
             return EXIT_SEARCH_FAILED
         out = out or "resolved"
         _write(f"{out}.resolution.jsonl", resolution_record(s.design, outcome.resolution))
-        print(_summary(s, True))
+        print(_summary(s, p_rank(s.design, 3), True))
     return EXIT_OK
 
 
@@ -300,10 +300,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_bound(args)
-    except _BadParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except ValueError as exc:
+    except (_BadParams, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
     except _IoFailure as exc:

@@ -184,11 +184,8 @@ def split_standard_resolution(k: int) -> tuple[BlockDesign, Resolution]:
     inner_set = {b for group in inner for b in group}
     ag = affine_geometry(k)
     all_blocks = ag.sts.design.blocks
-    deleted = None
-    for cls in ag.standard_resolution.classes:
-        if all_blocks.index((0, 1, 2)) in cls:
-            deleted = cls
-            break
+    first = all_blocks.index((0, 1, 2))
+    deleted = next((cls for cls in ag.standard_resolution.classes if first in cls), None)
     if deleted is None or {all_blocks[i] for i in deleted} != inner_set:
         raise AssertionError("the class of (0,1,2) is not the inner blocks of AG(k)")
     remainder = BlockDesign(3**k, tuple(outer))

@@ -9,8 +9,11 @@ the checked constructors are the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cache
 
+import numpy as np
+
+from . import gf3
 from .designs import (
     BlockDesign,
     LatinSquare,
@@ -24,18 +27,6 @@ from .designs import (
 from .resolution import SearchLimits, find_resolution
 
 
-def ternary_tuples(k: int) -> list[tuple[int, ...]]:
-    """All length-k tuples over {0,1,2} in lexicographic order."""
-    return [()] if k == 0 else list(product((0, 1, 2), repeat=k))
-
-
-def tuple_index(t: tuple[int, ...]) -> int:
-    i = 0
-    for d in t:
-        i = 3 * i + d
-    return i
-
-
 @dataclass(frozen=True)
 class AffineGeometry:
     """The zero-sum-triple system on 3^k points plus its translation resolution."""
@@ -45,37 +36,31 @@ class AffineGeometry:
     standard_resolution: Resolution
 
 
+@cache
 def affine_geometry(k: int) -> AffineGeometry:
     """Point i carries the i-th ternary k-tuple; blocks are zero-sum triples.
 
     Two blocks share a parallel class exactly when one is a translate of
     the other, i.e. when their point tuples differ by a common shift;
-    classes are keyed by line direction.
+    classes are keyed by line direction.  The result is immutable, so it is
+    built and verified once per k and shared by every caller.
     """
     if k < 1:
         raise ValueError("k must be >= 1 (k = 0 has no blocks)")
     n = 3**k
-    tuples = ternary_tuples(k)
-    blocks = []
-    for a in range(n):
-        ta = tuples[a]
-        for b in range(a + 1, n):
-            tb = tuples[b]
-            c = tuple_index(tuple((-x - y) % 3 for x, y in zip(ta, tb)))
-            if c > b:
-                blocks.append((a, b, c))
-    design = BlockDesign(n, tuple(blocks))
+    digits = gf3.generator_gvk(n, k)[1:].T  # row i: the ternary digits of point i
+    weights = 3 ** np.arange(k - 1, -1, -1)
+    a, b = np.triu_indices(n, 1)
+    c = (-digits[a] - digits[b]) % 3 @ weights
+    keep = c > b
+    design = BlockDesign(n, np.stack([a[keep], b[keep], c[keep]], axis=1))
     sts = StsInstance(design)
-
-    def direction(block):
-        d = tuple((y - x) % 3 for x, y in zip(tuples[block[0]], tuples[block[1]]))
-        first = next(x for x in d if x)
-        return d if first == 1 else tuple((2 * x) % 3 for x in d)
-
-    by_dir: dict[tuple[int, ...], list[int]] = {}
-    for i, blk in enumerate(design.blocks):
-        by_dir.setdefault(direction(blk), []).append(i)
-    classes = tuple(tuple(by_dir[d]) for d in sorted(by_dir))
+    # The direction of a block: the digit difference of its first two
+    # points, scaled so that its first nonzero digit is 1.
+    diff = (digits[design.array[:, 1]] - digits[design.array[:, 0]]) % 3
+    lead = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]
+    direction = (diff * lead[:, None]) % 3 @ weights
+    classes = tuple(tuple(np.flatnonzero(direction == d).tolist()) for d in np.unique(direction))
     resolution = Resolution(classes)
     rep = verify_resolution(design, resolution)
     if not rep.ok:

@@ -1,16 +1,19 @@
 """Triple systems, transversal designs, Latin squares, resolutions.
 
 Blocks are sorted 3-tuples of points 0..v-1; block sets are sorted tuples
-of blocks, so structural equality is plain tuple equality.  Constructors
-of the checked wrapper types (StsInstance, TdInstance, LatinSquare)
-validate their axioms; the verify_* functions return structured reports
-for use on untrusted input.
+of blocks, so structural equality is plain tuple equality.  A BlockDesign
+holds the same blocks, in the same order, as one read-only (b, 3) int64
+array (`array`), built in one pass and left out of equality, hashing and
+repr; the pair-coverage and incidence code read the array.  The STS and
+TD axioms are one check on it: every required pair p < q, coded p*v + q,
+must occur in exactly one block.  Constructors of the checked wrapper
+types (StsInstance, TdInstance, LatinSquare) validate their axioms; the
+verify_* functions return structured reports for use on untrusted input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,29 +32,44 @@ class VerificationReport:
         return VerificationReport(not violations, tuple(violations))
 
 
+def _sorted_block(b, v: int) -> Block:
+    t = tuple(sorted(int(p) for p in b))
+    if len(t) != 3 or len(set(t)) != 3:
+        raise ValueError(f"block {b!r} does not have 3 distinct points")
+    if t[0] < 0 or t[2] >= v:
+        raise ValueError(f"block {b!r} out of range for v={v}")
+    return t
+
+
 @dataclass(frozen=True)
 class BlockDesign:
     """A point set 0..v-1 plus a sorted, duplicate-free set of 3-blocks."""
 
     v: int
     blocks: tuple[Block, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.v < 0:
             raise ValueError(f"negative point count v={self.v}")
-        norm = []
-        for b in self.blocks:
-            t = tuple(sorted(int(p) for p in b))
-            if len(t) != 3 or len(set(t)) != 3:
-                raise ValueError(f"block {b!r} does not have 3 distinct points")
-            if t[0] < 0 or t[2] >= self.v:
-                raise ValueError(f"block {b!r} out of range for v={self.v}")
-            norm.append(t)
-        norm.sort()
-        for a, b in zip(norm, norm[1:]):
-            if a == b:
-                raise ValueError(f"duplicate block {a!r}")
-        object.__setattr__(self, "blocks", tuple(norm))
+        blocks = tuple(self.blocks)
+        try:
+            a = np.sort(np.array(blocks, dtype=np.int64), axis=-1)
+        except (TypeError, ValueError, OverflowError):
+            a = None
+        if a is None or a.shape != (len(blocks), 3) or not (
+            (a[:, 0] >= 0) & (a[:, 0] < a[:, 1]) & (a[:, 1] < a[:, 2]) & (a[:, 2] < self.v)
+        ).all():
+            # Block by block, in input order, so the first bad block is named.
+            a = np.array([_sorted_block(b, self.v) for b in blocks], dtype=np.int64)
+            a = a.reshape(-1, 3)
+        a = a[np.lexsort(a.T[::-1])]
+        repeated = (a[1:] == a[:-1]).all(axis=1)
+        if repeated.any():
+            raise ValueError(f"duplicate block {tuple(a[repeated.argmax()].tolist())!r}")
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
+        object.__setattr__(self, "blocks", tuple(zip(*a.T.tolist())))
 
     def block_index(self) -> dict[Block, int]:
         return {b: i for i, b in enumerate(self.blocks)}
@@ -60,25 +78,34 @@ class BlockDesign:
 def incidence_matrix(d: BlockDesign) -> np.ndarray:
     """|blocks| x v characteristic 0/1 matrix."""
     m = np.zeros((len(d.blocks), d.v), dtype=np.int64)
-    for i, b in enumerate(d.blocks):
-        m[i, list(b)] = 1
+    m[np.arange(len(d.blocks))[:, None], d.array] = 1
     return m
+
+
+def _pair_faults(v: int, blocks: np.ndarray, required: np.ndarray, name: str) -> list[str]:
+    """Violations of "every required pair lies in exactly one block".
+
+    A pair p < q is coded p*v + q.  Every pair of a row of `blocks` must be
+    required; pairs covered more than once are reported first, ascending,
+    then the required pairs covered by no block, in the order given.
+    """
+    codes = (blocks[:, [0, 0, 1]] * v + blocks[:, [1, 2, 2]]).ravel()
+    covered, counts = np.unique(codes, return_counts=True)
+    over = counts > 1
+    faults = [
+        f"{name} {divmod(c, v)} covered {n} times"
+        for c, n in zip(covered[over].tolist(), counts[over].tolist())
+    ]
+    if covered.size < required.size:
+        missing = required[~np.isin(required, covered)]
+        faults += [f"{name} {divmod(c, v)} covered 0 times" for c in missing.tolist()]
+    return faults
 
 
 def verify_sts(d: BlockDesign) -> VerificationReport:
     """Check the pair-coverage axiom: every pair in exactly one block."""
-    cover: dict[tuple[int, int], int] = {}
-    for b in d.blocks:
-        for pair in combinations(b, 2):
-            cover[pair] = cover.get(pair, 0) + 1
-    violations = []
-    for pair, count in sorted(cover.items()):
-        if count != 1:
-            violations.append(f"pair {pair} covered {count} times")
-    for pair in combinations(range(d.v), 2):
-        if pair not in cover:
-            violations.append(f"pair {pair} covered 0 times")
-    return VerificationReport.from_violations(violations)
+    p, q = np.triu_indices(d.v, 1)
+    return VerificationReport.from_violations(_pair_faults(d.v, d.array, p * d.v + q, "pair"))
 
 
 @dataclass(frozen=True)
@@ -114,24 +141,19 @@ def verify_td(design: BlockDesign, groups: tuple[tuple[int, ...], ...]) -> Verif
         violations.append("groups do not partition the point set")
     if violations:
         return VerificationReport.from_violations(violations)
-    group_of = {p: gi for gi, g in enumerate(groups) for p in g}
-    cover: dict[tuple[int, int], int] = {}
-    for b in design.blocks:
-        gs = sorted(group_of[p] for p in b)
-        if gs != [0, 1, 2]:
-            violations.append(f"block {b} does not meet every group exactly once")
-            continue
-        for pair in combinations(b, 2):
-            cover[pair] = cover.get(pair, 0) + 1
-    for pair, count in sorted(cover.items()):
-        if count != 1:
-            violations.append(f"cross pair {pair} covered {count} times")
-    for gi, gj in combinations(range(3), 2):
-        for p in groups[gi]:
-            for q in groups[gj]:
-                pair = (p, q) if p < q else (q, p)
-                if pair not in cover:
-                    violations.append(f"cross pair {pair} covered 0 times")
+    g = np.array(groups, dtype=np.int64).reshape(3, w)
+    group_of = np.empty(design.v, dtype=np.int64)
+    group_of[g] = np.arange(3)[:, None]
+    met = group_of[design.array]
+    transversal = (met[:, 0] != met[:, 1]) & (met[:, 0] != met[:, 2]) & (met[:, 1] != met[:, 2])
+    violations = [
+        f"block {design.blocks[i]} does not meet every group exactly once"
+        for i in np.flatnonzero(~transversal).tolist()
+    ]
+    # Cross pairs group pair by group pair, in the order the groups list them.
+    p, q = g[[0, 0, 1], :, None], g[[1, 2, 2], None, :]
+    cross = (np.minimum(p, q) * design.v + np.maximum(p, q)).ravel()
+    violations += _pair_faults(design.v, design.array[transversal], cross, "cross pair")
     if len(design.blocks) != w * w:
         violations.append(f"expected {w * w} blocks, got {len(design.blocks)}")
     return VerificationReport.from_violations(violations)

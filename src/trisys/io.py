@@ -68,24 +68,32 @@ def deserialize(text: str) -> DesignFileRecord:
     kind = header.get("kind")
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    v = int(header["v"])
-    k = int(header["k"]) if "k" in header else None
-    t = int(header["T"]) if "T" in header else None
-    body = lines[1:]
+
+    def parse(i: int, convert):
+        # A record of the wrong shape is a ValueError naming it, not a
+        # KeyError or TypeError.
+        try:
+            return convert(header if i == 0 else json.loads(lines[i]))
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed record {i + 1}: {lines[i].strip()[:80]}") from exc
+
+    v, k, t = parse(0, lambda h: (int(h["v"]), *(int(h[x]) if x in h else None for x in "kT")))
+    second = json.loads(lines[1]) if len(lines) > 1 else None
     groups = None
-    if body and isinstance(json.loads(body[0]), dict):
-        rec0 = json.loads(body[0])
-        if "groups" not in rec0:
+    if isinstance(second, dict):
+        if "groups" not in second:
             raise ValueError("unexpected object record in body")
-        groups = tuple(tuple(int(p) for p in g) for g in rec0["groups"])
-        body = body[1:]
+        groups = parse(1, lambda r: tuple(_ints(g) for g in r["groups"]))
+    body = range(1 if groups is None else 2, len(lines))
     if kind == "resolution":
-        classes = tuple(
-            tuple(tuple(int(p) for p in b) for b in json.loads(ln)) for ln in body
-        )
+        classes = tuple(parse(i, lambda c: tuple(_ints(b) for b in c)) for i in body)
         return DesignFileRecord(kind, v, k, t, (), classes, groups)
-    blocks = tuple(tuple(int(p) for p in json.loads(ln)) for ln in body)
+    blocks = tuple(parse(i, _ints) for i in body)
     return DesignFileRecord(kind, v, k, t, blocks, (), groups)
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(p) for p in values)
 
 
 def write_design(path: str, rec: DesignFileRecord) -> None:

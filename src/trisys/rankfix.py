@@ -9,13 +9,13 @@ meets the relevant local layout code only in the all-one line.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf3
 from .composition import Decomposition, compose
-from .constructions import tuple_index
 from .designs import BlockDesign, StsInstance, dual_space, permute_sts
 
 
@@ -72,42 +72,35 @@ def _extend_basis(rows: list[np.ndarray], d: gf3.Subspace) -> list[np.ndarray]:
     return extension
 
 
-def _basis_with_allone_first(d: gf3.Subspace) -> np.ndarray:
-    """Rows completing the all-one vector to a basis of the subspace."""
+def _layout_sort(rows: np.ndarray, dims: int) -> PointPermutation:
+    """Check that the columns of rows take each of the 3^dims tuple values
+    equally often, then sort the positions stably by column tuple
+    (image[i] = rank of i)."""
+    tuples = [tuple(int(x) for x in rows[:, j]) for j in range(rows.shape[1])]
+    n = len(tuples)
+    if n % 3**dims != 0:
+        raise StructureViolation(f"{3**dims} tuple values cannot split {n} columns evenly")
+    counts = Counter(tuples)
+    if len(counts) != 3**dims or any(c != n // 3**dims for c in counts.values()):
+        raise StructureViolation(
+            "column tuples are not uniformly distributed over the value space"
+        )
+    # order[new position] = old position; the sort is stable.
+    return PointPermutation(n, tuple(sorted(range(n), key=tuples.__getitem__))).inverse()
+
+
+def _dual_layout(d: gf3.Subspace) -> PointPermutation:
+    """The layout sort of the rows completing the all-one vector to a basis
+    of a dual space of dimension l + 1, whose columns must be uniform over
+    the 3^l tuple values."""
     n = d.ambient_dim
     ones = np.ones(n, dtype=np.int64)
     if not d.contains(ones):
         raise StructureViolation(
             "dual space does not contain the all-one vector (corrupt design data)"
         )
-    return np.array(_extend_basis([ones], d), dtype=np.int64).reshape(d.dim - 1, n)
-
-
-def _column_tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
-    return [tuple(int(x) for x in rows[:, j]) for j in range(rows.shape[1])]
-
-
-def _check_uniform(tuples: list[tuple[int, ...]], dims: int) -> None:
-    n = len(tuples)
-    if n % 3**dims != 0:
-        raise StructureViolation(f"{3**dims} tuple values cannot split {n} columns evenly")
-    want = n // 3**dims
-    counts: dict[tuple[int, ...], int] = {}
-    for t in tuples:
-        counts[t] = counts.get(t, 0) + 1
-    if len(counts) != 3**dims or any(c != want for c in counts.values()):
-        raise StructureViolation(
-            "column tuples are not uniformly distributed over the value space"
-        )
-
-
-def _sorting_permutation(tuples: list[tuple[int, ...]]) -> PointPermutation:
-    """Stable sort of positions by column tuple; image[i] = rank of i."""
-    order = sorted(range(len(tuples)), key=lambda i: (tuples[i], i))
-    image = [0] * len(tuples)
-    for new_pos, old_pos in enumerate(order):
-        image[old_pos] = new_pos
-    return PointPermutation(len(tuples), tuple(image))
+    rows = np.array(_extend_basis([ones], d), dtype=np.int64).reshape(d.dim - 1, n)
+    return _layout_sort(rows, d.dim - 1)
 
 
 def dual_canonicalize(s: StsInstance) -> tuple[PointPermutation, int]:
@@ -127,10 +120,7 @@ def dual_canonicalize(s: StsInstance) -> tuple[PointPermutation, int]:
     target = gf3.row_space(gf3.generator_gvk(v, l))
     if d == target:
         return PointPermutation.identity(v), l
-    reduced = _basis_with_allone_first(d)
-    tuples = _column_tuples(reduced)
-    _check_uniform(tuples, l)
-    sigma = _sorting_permutation(tuples)
+    sigma = _dual_layout(d)
     if sigma.apply_subspace(d) != target:
         raise AssertionError("canonicalization failed to reach the standard layout")
     return sigma, l
@@ -173,8 +163,11 @@ def perm_intersection(T: int, t: int) -> PointPermutation:
         m = T // 3**t
         c = mix_matrix(t)
 
+        # The first column of the block of tuple columns equal to tup.
+        weights = 3 ** np.arange(t - 1, -1, -1) * m
+
         def pos(tup) -> int:
-            return tuple_index(tup) * m
+            return int(np.dot(tup, weights))
 
         mapping: dict[int, int] = {0: 0}
         for i in range(1, t + 1):
@@ -204,10 +197,8 @@ def verify_dual_structure(d: BlockDesign) -> int:
     dual = dual_space(d)
     if dual.dim == 0:
         raise StructureViolation("dual space is trivial")
-    reduced = _basis_with_allone_first(dual)
-    kprime = dual.dim - 1
-    _check_uniform(_column_tuples(reduced), kprime)
-    return kprime
+    _dual_layout(dual)
+    return dual.dim - 1
 
 
 def force_exact_rank(d: Decomposition) -> StsInstance:
@@ -246,13 +237,8 @@ def force_exact_rank(d: Decomposition) -> StsInstance:
     # Rows extending the layout code to a basis of the bigger dual.
     extension = _extend_basis(list(layout), dual_minus)
 
-    if extension:
-        local = np.array([r[:t_order] for r in extension], dtype=np.int64)
-        tuples = _column_tuples(local)
-        _check_uniform(tuples, kprime - k)
-        tau0 = _sorting_permutation(tuples)
-    else:
-        tau0 = PointPermutation.identity(t_order)
+    local = np.array([r[:t_order] for r in extension], dtype=np.int64)
+    tau0 = _layout_sort(local.reshape(len(extension), t_order), kprime - k)
 
     sigma, l = dual_canonicalize(d.sub_systems[0])
     level = max(l if l >= 0 else 0, kprime - k)

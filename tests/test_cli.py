@@ -1,6 +1,12 @@
 """End-to-end command-line checks, run in-process against main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from trisys.cli import main
 
@@ -126,6 +132,31 @@ def test_verify_broken_sts_exits_1(tmp_path, capsys):
     assert code == 1
     report = json.loads(stdout)
     assert not report["ok"]
+
+
+MALFORMED = {
+    "header-without-v": '{"format_version":"1","kind":"sts"}\n[0,1,2]\n',
+    "non-integer-v": '{"format_version":"1","kind":"sts","v":"x"}\n[0,1,2]\n',
+    "scalar-block": '{"format_version":"1","kind":"sts","v":3}\n5\n',
+    "scalar-groups": '{"format_version":"1","kind":"td","v":3}\n{"groups":5}\n[0,1,2]\n',
+    "scalar-class-block": '{"format_version":"1","kind":"resolution","v":3}\n[5]\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_file_exits_2_without_traceback(tmp_path, name):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(MALFORMED[name], encoding="utf-8")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "trisys.cli", "verify", str(bad)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_missing_file_exits_4(tmp_path, capsys):

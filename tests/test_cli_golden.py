@@ -10,6 +10,8 @@ import hashlib
 import pytest
 
 from trisys.cli import main
+from trisys.designs import BlockDesign, p_rank
+from trisys.io import read_design
 
 COMPOSE_DIGESTS = {
     (1, 7, 0, 0): (
@@ -67,3 +69,14 @@ def test_force_rank_golden(tmp_path, capsys):
     assert main(["construct", "force-rank", "--in", str(path), "--out", str(forced)]) == 0
     assert capsys.readouterr().out.strip() == "v=63 blocks=651 rank3=60 resolution=none"
     assert sha256(tmp_path / "forced.sts.jsonl") == FORCED_DIGEST
+
+
+def test_force_rank_prints_rank_of_written_file(tmp_path, capsys):
+    # The printed rank is not recomputed by the CLI; it must still be the
+    # 3-rank of the file written.
+    path, _ = compose_file(tmp_path, capsys, 2, 7, 0, 3)
+    forced = tmp_path / "forced"
+    assert main(["construct", "force-rank", "--in", str(path), "--out", str(forced)]) == 0
+    printed = int(capsys.readouterr().out.split("rank3=")[1].split()[0])
+    rec = read_design(str(tmp_path / "forced.sts.jsonl"))
+    assert printed == p_rank(BlockDesign(rec.v, rec.blocks), 3)

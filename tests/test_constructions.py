@@ -1,6 +1,6 @@
 """Ingredient generators: affine systems, Latin pairs, stock triple systems."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -11,7 +11,6 @@ from trisys.constructions import (
     latin_with_mate,
     resolvable_sts,
     small_sts,
-    ternary_tuples,
 )
 from trisys.designs import (
     are_orthogonal,
@@ -25,7 +24,7 @@ from trisys.resolution import SearchLimits
 
 def brute_force_affine_blocks(k):
     """Oracle: enumerate all 3-subsets with zero tuple sum."""
-    tuples = ternary_tuples(k)
+    tuples = list(product((0, 1, 2), repeat=k))
     out = []
     for a, b, c in combinations(range(3**k), 3):
         if all((x + y + z) % 3 == 0 for x, y, z in zip(tuples[a], tuples[b], tuples[c])):
@@ -53,6 +52,10 @@ def test_affine_k3():
     assert len(ag.sts.blocks) == 117
     assert ag.standard_resolution.n_classes == 13
     assert p_rank(ag.sts.design, 3) == 23
+
+
+def test_affine_geometry_built_once_per_k():
+    assert affine_geometry(3) is affine_geometry(3)
 
 
 def test_affine_k0_rejected():
