@@ -13,20 +13,12 @@ import sys
 
 from . import gf3
 from .bounds import bound_rcw, bound_thm1, bound_thm1prime, bound_thm2
-from .composition import (
-    Decomposition,
-    compose,
-    decompose,
-    random_decomposition,
-    random_latin,
-    split_ag,
-)
+from .composition import compose, decompose, random_decomposition
 from .constructions import affine_geometry, small_sts
 from .designs import (
     BlockDesign,
     StsInstance,
     p_rank,
-    td_from_latin,
     verify_resolution,
     verify_sts,
     verify_td,
@@ -95,17 +87,8 @@ def _cmd_construct(args) -> int:
         t_split = args.t or 0
         if not 0 <= t_split <= args.k:
             raise _BadParams("--t must satisfy 0 <= t <= k")
-        # Sub-systems of order 3^t * T are themselves random compositions;
-        # at t = 0 this draws exactly what random_decomposition(k, T) draws.
-        rng = random.Random(args.seed)
-        subs = tuple(
-            compose(random_decomposition(t_split, args.T, rng))
-            for _ in range(3 ** (args.k - t_split))
-        )
-        _, outer = split_ag(args.k, t_split)
-        tds = {triple: td_from_latin(random_latin(args.T, rng)) for triple in outer}
         s = compose(
-            Decomposition(k=args.k, T=args.T, sub_systems=subs, tds=tds, t=t_split)
+            random_decomposition(args.k, args.T, random.Random(args.seed), t_split)
         )
         out = out or (
             f"compose-k{args.k}-T{args.T}"

@@ -269,14 +269,22 @@ def random_latin(t: int, rng: random.Random) -> LatinSquare:
     )
 
 
-def random_decomposition(k: int, t: int, rng: random.Random) -> Decomposition:
-    """Seeded ingredient selection: relabeled stock systems and random
-    Latin-square transversal designs."""
-    base = small_sts(t)
-    subs = tuple(
-        permute_sts(base, rng.sample(range(t), t)) for _ in range(3**k)
-    )
-    tds = {
-        triple: td_from_latin(random_latin(t, rng)) for triple in ag_blocks(k)
-    }
-    return Decomposition(k=k, T=t, sub_systems=subs, tds=tds)
+def random_decomposition(
+    k: int, T: int, rng: random.Random, t: int = 0
+) -> Decomposition:
+    """Seeded ingredient selection at split level t: relabeled copies of
+    the stock system of order T and random Latin-square transversal
+    designs.  For t > 0 each sub-system of order 3^t * T is composed from
+    its own plain level-t selection, drawn in turn before the cross TDs."""
+    base = small_sts(T)
+
+    def select(k: int, t: int) -> Decomposition:
+        _, outer = split_ag(k, t)
+        if t == 0:
+            subs = tuple(permute_sts(base, rng.sample(range(T), T)) for _ in range(3**k))
+        else:
+            subs = tuple(compose(select(t, 0)) for _ in range(3 ** (k - t)))
+        tds = {triple: td_from_latin(random_latin(T, rng)) for triple in outer}
+        return Decomposition(k=k, T=T, sub_systems=subs, tds=tds, t=t)
+
+    return select(k, t)

@@ -60,7 +60,17 @@ def deserialize(text: str) -> DesignFileRecord:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty design file")
-    header = json.loads(lines[0])
+
+    def parse(i: int, convert=lambda r: r):
+        # A record of the wrong shape, or nested deeper than the decoder can
+        # recurse, is a ValueError naming it, not a KeyError, TypeError or
+        # RecursionError.
+        try:
+            return convert(json.loads(lines[i]))
+        except (KeyError, TypeError, OverflowError, RecursionError) as exc:
+            raise ValueError(f"malformed record {i + 1}: {lines[i].strip()[:80]}") from exc
+
+    header = parse(0)
     if not isinstance(header, dict):
         raise ValueError("first record must be a header object")
     if header.get("format_version") != FORMAT_VERSION:
@@ -69,16 +79,8 @@ def deserialize(text: str) -> DesignFileRecord:
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
 
-    def parse(i: int, convert):
-        # A record of the wrong shape is a ValueError naming it, not a
-        # KeyError or TypeError.
-        try:
-            return convert(header if i == 0 else json.loads(lines[i]))
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed record {i + 1}: {lines[i].strip()[:80]}") from exc
-
     v, k, t = parse(0, lambda h: (int(h["v"]), *(int(h[x]) if x in h else None for x in "kT")))
-    second = json.loads(lines[1]) if len(lines) > 1 else None
+    second = parse(1) if len(lines) > 1 else None
     groups = None
     if isinstance(second, dict):
         if "groups" not in second:

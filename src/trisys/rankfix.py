@@ -4,7 +4,11 @@ A composed system is orthogonal to the layout code G(v,k), so its rank
 is at most v-k-1; aligned ingredients can push it lower.  Replacing the
 first sub-system by a carefully permuted copy removes every stray dual
 vector: the permutation is chosen so that the dual of the new sub-system
-meets the relevant local layout code only in the all-one line.
+meets the relevant local layout code only in the all-one line.  The
+result's certificate, its dual space equal to the layout code, is derived
+from the dual of the blocks outside the first group, which is computed
+once: a vector of that dual lies in the result's dual exactly when it is
+orthogonal to every block of the new sub-system.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from . import gf3
 from .composition import Decomposition, compose
-from .designs import BlockDesign, StsInstance, dual_space, permute_sts
+from .designs import BlockDesign, StsInstance, dual_space, permute_design, permute_sts
 
 
 class StructureViolation(ValueError):
@@ -58,18 +62,18 @@ class PointPermutation:
         return gf3.permute_subspace(s, self.image)
 
 
-def _extend_basis(rows: list[np.ndarray], d: gf3.Subspace) -> list[np.ndarray]:
-    """Basis rows of d that complete the independent rows, all lying in d,
-    to a basis of d."""
-    rows = list(rows)
-    extension = []
-    for row in d.basis:
-        if gf3.rank(np.vstack(rows + [row])) > len(rows):
-            rows.append(row)
-            extension.append(row)
-    if len(rows) != d.dim:
-        raise AssertionError(f"extended basis has {len(rows)} rows, expected {d.dim}")
-    return extension
+def _extend_basis(rows: np.ndarray, d: gf3.Subspace) -> np.ndarray | None:
+    """The basis rows of d that complete rows to a basis of d, as a greedy
+    pass over d.basis picks them; None unless rows are independent and
+    all lie in d.
+
+    One elimination of the stacked rows as columns: its pivot columns are
+    exactly the vectors independent of all before them."""
+    n = len(rows)
+    _, pivots = gf3.rref(np.vstack([rows, d.basis]).T)
+    if len(pivots) != d.dim or pivots[:n] != list(range(n)):
+        return None
+    return d.basis[np.array(pivots[n:], dtype=np.intp) - n]
 
 
 def _layout_sort(rows: np.ndarray, dims: int) -> PointPermutation:
@@ -93,13 +97,11 @@ def _dual_layout(d: gf3.Subspace) -> PointPermutation:
     """The layout sort of the rows completing the all-one vector to a basis
     of a dual space of dimension l + 1, whose columns must be uniform over
     the 3^l tuple values."""
-    n = d.ambient_dim
-    ones = np.ones(n, dtype=np.int64)
-    if not d.contains(ones):
+    rows = _extend_basis(np.ones((1, d.ambient_dim), dtype=np.int64), d)
+    if rows is None:
         raise StructureViolation(
             "dual space does not contain the all-one vector (corrupt design data)"
         )
-    rows = np.array(_extend_basis([ones], d), dtype=np.int64).reshape(d.dim - 1, n)
     return _layout_sort(rows, d.dim - 1)
 
 
@@ -211,9 +213,12 @@ def force_exact_rank(d: Decomposition) -> StsInstance:
     permutation at level t = max(l, k'-k); reinsert the sub-system
     through that permutation, undoing the within-group sorting so that
     all blocks outside the first group stay untouched.  The dual space of
-    the result is recomputed and compared with the row space of
-    G(v, k), never trusted; rank v-k-1 follows by rank-nullity.  Defined
-    for the plain grouping (t = 0) only.
+    the result is never trusted: it is derived exactly from the dual of
+    the blocks outside the first group, the one elimination of a v-column
+    matrix here, as the vectors of that dual orthogonal to every block of
+    the new sub-system, and compared with the row space of G(v, k); rank
+    v-k-1 follows by rank-nullity.  Defined for the plain grouping
+    (t = 0) only.
     """
     k, t_order = d.k, d.T
     if d.t != 0:
@@ -223,32 +228,28 @@ def force_exact_rank(d: Decomposition) -> StsInstance:
     if t_order <= 3:
         raise ValueError("sub-system order must exceed 3")
     v = d.v
-    full = compose(d)
-    first = set(d.sub_systems[0].blocks)
-    rest = tuple(b for b in full.blocks if b not in first)
-    b_minus = BlockDesign(v, rest)
+    a = compose(d).design.array
+    b_minus = BlockDesign(v, a[a[:, 2] >= t_order])
     dual_minus = dual_space(b_minus)
     layout = gf3.generator_gvk(v, k)
-    for row in layout:
-        if not dual_minus.contains(row):
-            raise AssertionError("composed system lost orthogonality to its layout code")
-    kprime = dual_minus.dim - 1
-
     # Rows extending the layout code to a basis of the bigger dual.
-    extension = _extend_basis(list(layout), dual_minus)
-
-    local = np.array([r[:t_order] for r in extension], dtype=np.int64)
-    tau0 = _layout_sort(local.reshape(len(extension), t_order), kprime - k)
+    extension = _extend_basis(layout, dual_minus)
+    if extension is None:
+        raise AssertionError("composed system lost orthogonality to its layout code")
+    kprime = dual_minus.dim - 1
+    tau0 = _layout_sort(extension[:, :t_order], kprime - k)
 
     sigma, l = dual_canonicalize(d.sub_systems[0])
     level = max(l if l >= 0 else 0, kprime - k)
     pi = perm_intersection(t_order, level)
     relabel = tau0.inverse().after(pi.after(sigma))
-    replaced = relabel.apply_sts(d.sub_systems[0])
+    replaced = permute_design(d.sub_systems[0].design, relabel.image)
+    result = StsInstance(BlockDesign(v, b_minus.blocks + replaced.blocks))
 
-    result = StsInstance(BlockDesign(v, rest + replaced.blocks))
-
-    target = gf3.row_space(layout)
-    if dual_space(result.design) != target:
+    # dual(result) = the combinations c @ dual_minus.basis with c orthogonal
+    # to every column of sums, one column per replaced block.
+    sums = dual_minus.basis[:, replaced.array].sum(axis=2) % 3
+    dual = gf3.row_space(gf3.null_space(sums.T).basis @ dual_minus.basis)
+    if dual != gf3.row_space(layout):
         raise AssertionError("rank forcing failed: dual space is not the layout code")
     return result

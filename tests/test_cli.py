@@ -140,6 +140,9 @@ MALFORMED = {
     "scalar-block": '{"format_version":"1","kind":"sts","v":3}\n5\n',
     "scalar-groups": '{"format_version":"1","kind":"td","v":3}\n{"groups":5}\n[0,1,2]\n',
     "scalar-class-block": '{"format_version":"1","kind":"resolution","v":3}\n[5]\n',
+    "deep-header": "[" * 100_000 + "]" * 100_000 + "\n[0,1,2]\n",
+    "deep-second-line": '{"format_version":"1","kind":"sts","v":3}\n'
+    + "[" * 100_000 + "]" * 100_000 + "\n",
 }
 
 

@@ -42,6 +42,32 @@ COMPOSE_DIGESTS = {
 
 FORCED_DIGEST = "3a29c8b548c897e81ccfe7ebc3fc2033106673acac5f1e95d532eaf5f4fb66f6"
 
+# force-rank output of the plain (t = 0) compose file for (k, T, seed),
+# recorded while force_exact_rank still recomputed the result's dual space
+# by a second dense elimination.
+FORCED_DIGESTS = {
+    (3, 7, 1): (
+        "v=189 blocks=5922 rank3=185 resolution=none",
+        "9e8dd86962ebe62065ede9bf915c42163ec6c4d5a6fdaa0b45f13af4ed5f0fb6",
+    ),
+    (2, 13, 5): (
+        "v=117 blocks=2262 rank3=114 resolution=none",
+        "6fa8e2841c829ff73fa55c73c81292c6ca1a4b57384508ab6e4e3b820fa79768",
+    ),
+    (1, 13, 3): (
+        "v=39 blocks=247 rank3=37 resolution=none",
+        "943edcdbee65e05c5fd080199aa605d727f7ff2fe1f3cf61ef68fa7367a6e7a4",
+    ),
+    (2, 9, 1): (
+        "v=81 blocks=1080 rank3=78 resolution=none",
+        "2346e5fae66ef97e9ec047a9f4bab7589fed445f290ce57d17c0a2b057ac2eda",
+    ),
+    (1, 19, 2): (
+        "v=57 blocks=532 rank3=55 resolution=none",
+        "26c82a137bd98a62e94ad489313a05c5fa671486b2e99661a64cabeeaa65ca14",
+    ),
+}
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -69,6 +95,17 @@ def test_force_rank_golden(tmp_path, capsys):
     assert main(["construct", "force-rank", "--in", str(path), "--out", str(forced)]) == 0
     assert capsys.readouterr().out.strip() == "v=63 blocks=651 rank3=60 resolution=none"
     assert sha256(tmp_path / "forced.sts.jsonl") == FORCED_DIGEST
+
+
+@pytest.mark.parametrize("case", sorted(FORCED_DIGESTS))
+def test_force_rank_golden_inputs(tmp_path, capsys, case):
+    k, T, seed = case
+    path, _ = compose_file(tmp_path, capsys, k, T, 0, seed)
+    forced = tmp_path / "forced"
+    assert main(["construct", "force-rank", "--in", str(path), "--out", str(forced)]) == 0
+    want_summary, want_digest = FORCED_DIGESTS[case]
+    assert capsys.readouterr().out.strip() == want_summary
+    assert sha256(tmp_path / "forced.sts.jsonl") == want_digest
 
 
 def test_force_rank_prints_rank_of_written_file(tmp_path, capsys):

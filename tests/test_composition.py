@@ -157,6 +157,17 @@ def random_split_decomposition(k, order, t, rng):
     return Decomposition(k=k, T=order, sub_systems=subs, tds=tds, t=t)
 
 
+def test_random_decomposition_is_the_split_recipe():
+    # Same seed, same draws: the library recipe at every split level.
+    for k in range(3):
+        for t in range(k + 1):
+            for order in (3, 7):
+                for seed in range(2):
+                    got = random_decomposition(k, order, random.Random(seed), t)
+                    want = random_split_decomposition(k, order, t, random.Random(seed))
+                    assert got == want
+
+
 def split_ingredients(k, t_order):
     """Sub-systems from k=1 compositions, cross TDs from the cyclic square."""
     sub = compose(linear_decomposition(1, t_order))

@@ -4,8 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trisys import gf3
+from trisys import gf3, rankfix
 from trisys.composition import Decomposition, compose, random_decomposition, split_ag
 from trisys.constructions import affine_geometry, kts15, latin_with_mate, small_sts
 from trisys.designs import (
@@ -19,6 +21,7 @@ from trisys.designs import (
 from trisys.rankfix import (
     PointPermutation,
     StructureViolation,
+    _extend_basis,
     dual_canonicalize,
     force_exact_rank,
     mix_matrix,
@@ -271,3 +274,76 @@ def test_force_exact_rank_rejects_small_orders():
     )
     with pytest.raises(ValueError, match="t = 0"):
         force_exact_rank(split)
+
+
+# (k, T, seed) of plain compose inputs, as `construct compose` draws them.
+FORCE_INPUTS = [(3, 7, 1), (2, 13, 5), (1, 13, 3), (2, 9, 1)]
+
+
+@pytest.mark.parametrize("k, T, seed", FORCE_INPUTS)
+def test_force_exact_rank_dense_oracle(k, T, seed):
+    # The dual space force_exact_rank derives from dual(B-) must be what a
+    # full elimination of the result finds.
+    forced = force_exact_rank(random_decomposition(k, T, random.Random(seed)))
+    v = 3**k * T
+    assert dual_space(forced.design) == gf3.row_space(gf3.generator_gvk(v, k))
+
+
+def test_force_exact_rank_eliminates_one_v_point_design(monkeypatch):
+    dec = random_decomposition(2, 7, random.Random(17))
+    seen = []
+
+    def counting(d):
+        seen.append(d.v)
+        return dual_space(d)
+
+    monkeypatch.setattr(rankfix, "dual_space", counting)
+    force_exact_rank(dec)
+    assert seen.count(dec.v) == 1
+
+
+def test_force_exact_rank_raises_when_certificate_fails(monkeypatch):
+    # With the intersection step disabled, the aligned order-27 system keeps
+    # a stray dual vector, and the derived certificate must reject it.
+    monkeypatch.setattr(
+        rankfix, "perm_intersection", lambda T, t: PointPermutation.identity(T)
+    )
+    with pytest.raises(AssertionError, match="rank forcing failed"):
+        force_exact_rank(aligned_decomposition(9))
+
+
+def greedy_extension(rows, d):
+    """Keep each basis row of d that raises the rank; None unless the rows
+    are independent and lie in d."""
+    rows = [np.asarray(r) for r in rows]
+    if rows and gf3.rank(np.vstack(rows)) < len(rows):
+        return None
+    kept = []
+    for row in d.basis:
+        if gf3.rank(np.vstack(rows + kept + [row])) > len(rows) + len(kept):
+            kept.append(row)
+    if len(rows) + len(kept) != d.dim:
+        return None
+    return np.array(kept, dtype=np.int64).reshape(len(kept), d.ambient_dim)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_extend_basis_matches_greedy_loop(data):
+    n = data.draw(st.integers(1, 7))
+    vec = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    d = gf3.Subspace.from_rows(
+        np.array(data.draw(st.lists(vec, max_size=5)), dtype=np.int64).reshape(-1, n), n
+    )
+    # Rows mostly drawn from d, sometimes arbitrary (possibly outside d).
+    in_d = st.lists(st.integers(0, 2), min_size=d.dim, max_size=d.dim).map(
+        lambda c: (np.array(c, dtype=np.int64) @ d.basis % 3).tolist()
+    )
+    rows = data.draw(st.lists(st.one_of(in_d, in_d, vec), min_size=1, max_size=4))
+    rows = np.array(rows, dtype=np.int64)
+    got = _extend_basis(rows, d)
+    want = greedy_extension(rows, d)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and np.array_equal(got, want)
