@@ -82,20 +82,28 @@ def is_prime_power(n: int) -> bool:
     return False
 
 
+def _grouped_bound(formula_id: str, T: int, k: int, counts: dict[str, int],
+                   numerator, ok: bool, hypothesis: str) -> BoundReport:
+    """numerator(M) over T!^M * |AGL(k,3)|, M = 3^k; the hypothesis is
+    named in the note when it fails."""
+    m = 3**k
+    return BoundReport(
+        formula_id,
+        {"T": T, "k": k, "M": m, **counts},
+        numerator(m),
+        factorial(T) ** m * agl_order(k),
+        ok,
+        "" if ok else f"hypothesis {hypothesis} not satisfied",
+    )
+
+
 def bound_thm1(T: int, k: int, n1_resolvable: int, n3_resolvable: int) -> BoundReport:
     """Count bound for orders 3^k * T with T = 15 (mod 18):
     N1~^M * N3~^(M(M-1)/6) over T!^M * |AGL(k,3)|, M = 3^k."""
-    m = 3**k
-    num = n1_resolvable**m * n3_resolvable ** (m * (m - 1) // 6)
-    den = factorial(T) ** m * agl_order(k)
-    ok = T % 18 == 15
-    return BoundReport(
-        "thm1",
-        {"T": T, "k": k, "M": m, "n1_resolvable": n1_resolvable, "n3_resolvable": n3_resolvable},
-        num,
-        den,
-        ok,
-        "" if ok else "hypothesis T = 15 (mod 18) not satisfied",
+    return _grouped_bound(
+        "thm1", T, k, {"n1_resolvable": n1_resolvable, "n3_resolvable": n3_resolvable},
+        lambda m: n1_resolvable**m * n3_resolvable ** (m * (m - 1) // 6),
+        T % 18 == 15, "T = 15 (mod 18)",
     )
 
 
@@ -104,34 +112,20 @@ def bound_thm2(T: int, k: int, n1hat_3t: int, n3_resolvable: int) -> BoundReport
     N1^(M/3) * N3~^(M(M-3)/6) over T!^M * |AGL(k,3)|, M = 3^k."""
     if k < 1:
         raise ValueError("k >= 1 is required (the exponent M/3 must be integral)")
-    m = 3**k
-    num = n1hat_3t ** (m // 3) * n3_resolvable ** (m * (m - 3) // 6)
-    den = factorial(T) ** m * agl_order(k)
-    ok = T % 6 == 1
-    return BoundReport(
-        "thm2",
-        {"T": T, "k": k, "M": m, "n1hat_3t": n1hat_3t, "n3_resolvable": n3_resolvable},
-        num,
-        den,
-        ok,
-        "" if ok else "hypothesis T = 1 (mod 6) not satisfied",
+    return _grouped_bound(
+        "thm2", T, k, {"n1hat_3t": n1hat_3t, "n3_resolvable": n3_resolvable},
+        lambda m: n1hat_3t ** (m // 3) * n3_resolvable ** (m * (m - 3) // 6),
+        T % 6 == 1, "T = 1 (mod 6)",
     )
 
 
 def bound_thm1prime(T: int, k: int, n1_resolvable: int, n3_resolvable: int) -> BoundReport:
     """Count bound with the forced first sub-system:
     N1~^(M-1) * N3~^(M(M-1)/6) over T!^M * |AGL(k,3)|, M = 3^k."""
-    m = 3**k
-    num = n1_resolvable ** (m - 1) * n3_resolvable ** (m * (m - 1) // 6)
-    den = factorial(T) ** m * agl_order(k)
-    ok = T % 6 in (1, 3) and k >= 1
-    return BoundReport(
-        "thm1prime",
-        {"T": T, "k": k, "M": m, "n1_resolvable": n1_resolvable, "n3_resolvable": n3_resolvable},
-        num,
-        den,
-        ok,
-        "" if ok else "hypothesis T = 1,3 (mod 6) and k >= 1 not satisfied",
+    return _grouped_bound(
+        "thm1prime", T, k, {"n1_resolvable": n1_resolvable, "n3_resolvable": n3_resolvable},
+        lambda m: n1_resolvable ** (m - 1) * n3_resolvable ** (m * (m - 1) // 6),
+        T % 6 in (1, 3) and k >= 1, "T = 1,3 (mod 6) and k >= 1",
     )
 
 

@@ -8,8 +8,10 @@ A Decomposition at split level t coarsens the grouping to 3^(k-t)
 super-groups of 3^t point groups each: its sub-systems have order
 3^t * T and are themselves orthogonal to their local layout code, and
 only the triples meeting more than one super-group carry a TD.  The
-plain grouping is t = 0.  Resolution assembly merges ingredient
-resolutions into a resolution of the composed system.
+plain grouping is t = 0.  Both directions work on block arrays:
+embedded_parts moves each ingredient's array into the composed points,
+decompose splits the composed array, and resolution assembly maps each
+ingredient class through its part's composed indices (BlockDesign.lookup).
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import gf3
 from .constructions import affine_geometry, small_sts
 from .designs import (
-    Block,
     BlockDesign,
     LatinSquare,
     Resolution,
@@ -97,20 +100,24 @@ class Decomposition:
         return 3**self.k * self.T
 
 
-def _embed_td(block: Block, triple: Triple, t: int) -> Block:
-    return tuple(sorted(triple[p // t] * t + p % t for p in block))
+def embedded_parts(d: Decomposition) -> tuple[list[np.ndarray], dict[Triple, np.ndarray]]:
+    """Every ingredient's block array in the points of the composed system:
+    sub-system j shifted by j * 3^t * T, and the TD of a group triple with
+    local point a sent to triple[a // T] * T + a % T (rows stay sorted)."""
+    m = 3**d.t * d.T
+    subs = [sub.array + j * m for j, sub in enumerate(d.sub_systems)]
+    tds = {}
+    for triple in sorted(d.tds):
+        a = d.tds[triple].array
+        tds[triple] = np.array(triple)[a // d.T] * d.T + a % d.T
+    return subs, tds
 
 
 def compose(d: Decomposition) -> StsInstance:
     """Union of embedded sub-system and TD blocks; a triple system on
     3^k * T points orthogonal to G(v, k)."""
-    m = 3**d.t * d.T
-    blocks: list[Block] = []
-    for j, sub in enumerate(d.sub_systems):
-        blocks.extend(tuple(p + j * m for p in b) for b in sub.blocks)
-    for triple in sorted(d.tds):
-        blocks.extend(_embed_td(b, triple, d.T) for b in d.tds[triple].blocks)
-    sts = StsInstance(BlockDesign(d.v, tuple(blocks)))
+    subs, tds = embedded_parts(d)
+    sts = StsInstance(BlockDesign(d.v, np.concatenate(subs + list(tds.values()))))
     if not gf3.is_orthogonal(sts, gf3.row_space(gf3.generator_gvk(d.v, d.k))):
         raise AssertionError(f"composed system is not orthogonal to G({d.v},{d.k})")
     return sts
@@ -126,36 +133,26 @@ def decompose(s: StsInstance, k: int) -> Decomposition:
     """Read the ingredients back off a system orthogonal to G(v,k) as laid out.
 
     Inverse of compose block for block.  Raises if the system is not
-    orthogonal in the standard layout, or if some cross block touches a
-    group triple that is not zero-sum; either way no decomposition exists.
+    orthogonal in the standard layout; then no decomposition exists.
     """
     v = s.v
     if k < 0 or v % 3**k != 0:
         raise ValueError(f"3^k must divide v, got v={v}, k={k}")
     if not gf3.is_orthogonal(s, gf3.row_space(gf3.generator_gvk(v, k))):
         raise ValueError(f"system is not orthogonal to G({v},{k}) as laid out")
-    t = v // 3**k
-    valid = set(ag_blocks(k))
-    sub_blocks: list[list[Block]] = [[] for _ in range(3**k)]
-    td_blocks: dict[Triple, list[Block]] = {triple: [] for triple in valid}
-    for b in s.blocks:
-        gs = sorted({p // t for p in b})
-        if len(gs) == 1:
-            sub_blocks[gs[0]].append(tuple(p - gs[0] * t for p in b))
-        elif len(gs) == 3:
-            triple = tuple(gs)
-            if triple not in valid:
-                raise ValueError(f"cross block {b} spans non-zero-sum groups {triple}")
-            pos = {g: n for n, g in enumerate(triple)}
-            td_blocks[triple].append(
-                tuple(sorted(pos[p // t] * t + p % t for p in b))
-            )
-        else:
-            raise ValueError(f"block {b} meets exactly two groups")
-    subs = tuple(StsInstance(BlockDesign(t, tuple(bs))) for bs in sub_blocks)
+    n = 3**k
+    t = v // n
+    # Orthogonal blocks lie in one group (T(T-1)/6 each: s is an STS) or a zero-sum triple (T^2).
+    a = s.array
+    groups = a // t
+    inside = groups[:, 0] == groups[:, 2]
+    subs = tuple(StsInstance(BlockDesign(t, b)) for b in np.split(a[inside] % t, n))
+    codes = (groups[~inside, 0] * n + groups[~inside, 1]) * n + groups[~inside, 2]
+    cross = a[~inside][np.argsort(codes, kind="stable")]
+    local = np.arange(3) * t + cross % t
     tds = {
-        triple: TdInstance(BlockDesign(3 * t, tuple(bs)), canonical_td_groups(t))
-        for triple, bs in td_blocks.items()
+        triple: TdInstance(BlockDesign(3 * t, b), canonical_td_groups(t))
+        for triple, b in zip(ag_blocks(k), np.split(local, np.arange(t * t, len(local), t * t)))
     }
     return Decomposition(k=k, T=t, sub_systems=subs, tds=tds)
 
@@ -189,9 +186,8 @@ def split_standard_resolution(k: int) -> tuple[BlockDesign, Resolution]:
     if deleted is None or {all_blocks[i] for i in deleted} != inner_set:
         raise AssertionError("the class of (0,1,2) is not the inner blocks of AG(k)")
     remainder = BlockDesign(3**k, tuple(outer))
-    index = remainder.block_index()
     classes = tuple(
-        tuple(index[all_blocks[i]] for i in cls)
+        tuple(remainder.lookup(ag.sts.array[list(cls)]).tolist())
         for cls in ag.standard_resolution.classes
         if cls is not deleted
     )
@@ -234,25 +230,21 @@ def compose_resolution(
         raise ValueError(f"invalid outer resolution: {rep.violations[0]}")
 
     composed = compose(dec)
-    index = composed.design.block_index()
-    t = dec.T
-    classes: list[tuple[int, ...]] = []
-    for j in range((m - 1) // 2):
-        merged = []
-        for i, (sub, res) in enumerate(zip(subs, sub_resolutions)):
-            for bi in res.classes[j]:
-                merged.append(index[tuple(p + i * m for p in sub.blocks[bi])])
-        classes.append(tuple(sorted(merged)))
+    sub_parts, td_parts = embedded_parts(dec)
+    # Composed block indices of each part's blocks, in the part's order.
+    sub_index = [composed.design.lookup(a) for a in sub_parts]
+    td_index = {triple: composed.design.lookup(a) for triple, a in td_parts.items()}
+    classes = [
+        np.concatenate([idx[list(r.classes[j])] for idx, r in zip(sub_index, sub_resolutions)])
+        for j in range((m - 1) // 2)
+    ]
     for outer_cls in outer_resolution.classes:
         triples = [outer.blocks[i] for i in outer_cls]
-        for j in range(t):
-            merged = []
-            for triple in triples:
-                td = dec.tds[triple]
-                for bi in td_resolutions[triple].classes[j]:
-                    merged.append(index[_embed_td(td.blocks[bi], triple, t)])
-            classes.append(tuple(sorted(merged)))
-    resolution = Resolution(tuple(classes))
+        classes += [
+            np.concatenate([td_index[tr][list(td_resolutions[tr].classes[j])] for tr in triples])
+            for j in range(dec.T)
+        ]
+    resolution = Resolution(tuple(tuple(np.sort(c).tolist()) for c in classes))
     rep = verify_resolution(composed.design, resolution)
     if not rep.ok:
         raise AssertionError(f"assembled resolution invalid: {rep.violations[0]}")

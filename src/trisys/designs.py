@@ -1,14 +1,14 @@
 """Triple systems, transversal designs, Latin squares, resolutions.
 
-Blocks are sorted 3-tuples of points 0..v-1; block sets are sorted tuples
-of blocks, so structural equality is plain tuple equality.  A BlockDesign
-holds the same blocks, in the same order, as one read-only (b, 3) int64
-array (`array`), built in one pass and left out of equality, hashing and
-repr; the pair-coverage and incidence code read the array.  The STS and
-TD axioms are one check on it: every required pair p < q, coded p*v + q,
-must occur in exactly one block.  Constructors of the checked wrapper
-types (StsInstance, TdInstance, LatinSquare) validate their axioms; the
-verify_* functions return structured reports for use on untrusted input.
+A BlockDesign takes its blocks as triples or a (b, 3) int array and holds
+them as one read-only int64 array (`array`: rows sorted, in lexicographic
+order), built in one pass.  Code that builds or reads block sets works on
+the array; `blocks`, the same set as sorted 3-tuples, is the tuple view
+for equality, hashing and output, and `lookup` finds blocks by binary
+search on their codes.  The STS and TD axioms are one check on the array:
+every required pair p < q, coded p*v + q, must occur in exactly one block.
+StsInstance, TdInstance and LatinSquare validate their axioms on
+construction; the verify_* functions report on untrusted input.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class BlockDesign:
     def __post_init__(self):
         if self.v < 0:
             raise ValueError(f"negative point count v={self.v}")
-        blocks = tuple(self.blocks)
+        blocks = self.blocks if isinstance(self.blocks, np.ndarray) else tuple(self.blocks)
         try:
             a = np.sort(np.array(blocks, dtype=np.int64), axis=-1)
         except (TypeError, ValueError, OverflowError):
@@ -71,8 +71,17 @@ class BlockDesign:
         object.__setattr__(self, "array", a)
         object.__setattr__(self, "blocks", tuple(zip(*a.T.tolist())))
 
-    def block_index(self) -> dict[Block, int]:
-        return {b: i for i, b in enumerate(self.blocks)}
+    def lookup(self, rows: np.ndarray) -> np.ndarray:
+        """Indices into `array` of the blocks given as sorted rows of an
+        (n, 3) int array; KeyError naming the first row that is no block."""
+        v, a = self.v, self.array
+        pos = np.searchsorted((a[:, 0] * v + a[:, 1]) * v + a[:, 2],
+                              (rows[:, 0] * v + rows[:, 1]) * v + rows[:, 2])
+        found = pos < len(a)
+        found[found] = (a[pos[found]] == rows[found]).all(axis=1)
+        if not found.all():
+            raise KeyError(tuple(rows[found.argmin()].tolist()))
+        return pos
 
 
 def incidence_matrix(d: BlockDesign) -> np.ndarray:
@@ -108,16 +117,8 @@ def verify_sts(d: BlockDesign) -> VerificationReport:
     return VerificationReport.from_violations(_pair_faults(d.v, d.array, p * d.v + q, "pair"))
 
 
-@dataclass(frozen=True)
-class StsInstance:
-    """A verified Steiner triple system; construction fails on bad input."""
-
-    design: BlockDesign
-
-    def __post_init__(self):
-        rep = verify_sts(self.design)
-        if not rep.ok:
-            raise ValueError(f"not an STS: {rep.violations[0]}")
+class _DesignView:
+    """The point count and block views of a checked wrapper's `design`."""
 
     @property
     def v(self) -> int:
@@ -126,6 +127,22 @@ class StsInstance:
     @property
     def blocks(self) -> tuple[Block, ...]:
         return self.design.blocks
+
+    @property
+    def array(self) -> np.ndarray:
+        return self.design.array
+
+
+@dataclass(frozen=True)
+class StsInstance(_DesignView):
+    """A verified Steiner triple system; construction fails on bad input."""
+
+    design: BlockDesign
+
+    def __post_init__(self):
+        rep = verify_sts(self.design)
+        if not rep.ok:
+            raise ValueError(f"not an STS: {rep.violations[0]}")
 
 
 def verify_td(design: BlockDesign, groups: tuple[tuple[int, ...], ...]) -> VerificationReport:
@@ -160,7 +177,7 @@ def verify_td(design: BlockDesign, groups: tuple[tuple[int, ...], ...]) -> Verif
 
 
 @dataclass(frozen=True)
-class TdInstance:
+class TdInstance(_DesignView):
     """A verified transversal design on 3 equal groups."""
 
     design: BlockDesign
@@ -173,14 +190,6 @@ class TdInstance:
         rep = verify_td(self.design, self.groups)
         if not rep.ok:
             raise ValueError(f"not a TD: {rep.violations[0]}")
-
-    @property
-    def v(self) -> int:
-        return self.design.v
-
-    @property
-    def blocks(self) -> tuple[Block, ...]:
-        return self.design.blocks
 
     @property
     def w(self) -> int:
@@ -287,8 +296,9 @@ def canonical_td_groups(t: int) -> tuple[tuple[int, ...], ...]:
 def td_from_latin(sq: LatinSquare) -> TdInstance:
     """The standard correspondence: block {r, T+c, 2T+L(r,c)} per cell."""
     t = sq.order
-    blocks = [(r, t + c, 2 * t + sq.cells[r][c]) for r in range(t) for c in range(t)]
-    return TdInstance(BlockDesign(3 * t, tuple(blocks)), canonical_td_groups(t))
+    r, c = np.divmod(np.arange(t * t), t)
+    blocks = np.stack([r, t + c, 2 * t + np.array(sq.cells).reshape(-1)], axis=1)
+    return TdInstance(BlockDesign(3 * t, blocks), canonical_td_groups(t))
 
 
 def resolve_td(sq: LatinSquare, mate: LatinSquare) -> Resolution:
@@ -297,18 +307,9 @@ def resolve_td(sq: LatinSquare, mate: LatinSquare) -> Resolution:
         raise ValueError("order mismatch")
     if not are_orthogonal(sq, mate):
         raise ValueError("squares are not orthogonal")
-    t = sq.order
-    # Block of cell (r, c) sits at index r*t + c in the sorted block list.
-    classes = [
-        tuple(
-            r * t + c
-            for r in range(t)
-            for c in range(t)
-            if mate.cells[r][c] == s
-        )
-        for s in range(t)
-    ]
-    return Resolution(tuple(classes))
+    # Block of cell (r, c) sits at index r*T + c in the sorted block list.
+    cells = np.array(mate.cells).reshape(-1)
+    return Resolution(tuple(tuple(np.flatnonzero(cells == s).tolist()) for s in range(sq.order)))
 
 
 def permute_design(d: BlockDesign, image) -> BlockDesign:
@@ -316,7 +317,7 @@ def permute_design(d: BlockDesign, image) -> BlockDesign:
     img = list(image)
     if sorted(img) != list(range(d.v)):
         raise ValueError("image is not a permutation of the points")
-    return BlockDesign(d.v, tuple(tuple(sorted(img[p] for p in b)) for b in d.blocks))
+    return BlockDesign(d.v, np.array(img, dtype=np.int64)[d.array])
 
 
 def permute_sts(s: StsInstance, image) -> StsInstance:
@@ -326,10 +327,8 @@ def permute_sts(s: StsInstance, image) -> StsInstance:
 def transport_resolution(d: BlockDesign, r: Resolution, image) -> Resolution:
     """Carry a resolution of d over to permute_design(d, image)."""
     img = list(image)
-    new_design = permute_design(d, img)
-    index = new_design.block_index()
-    classes = [
-        tuple(sorted(index[tuple(sorted(img[p] for p in d.blocks[i]))] for i in cls))
-        for cls in r.classes
-    ]
-    return Resolution(tuple(classes))
+    moved = permute_design(d, img)
+    pos = moved.lookup(np.sort(np.array(img, dtype=np.int64)[d.array], axis=1))
+    return Resolution(
+        tuple(tuple(np.sort(pos[list(cls)]).tolist()) for cls in r.classes)
+    )

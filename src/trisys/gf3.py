@@ -178,18 +178,17 @@ def intersect_dim(a: Subspace, b: Subspace) -> int:
 def is_orthogonal(design, s: Subspace) -> bool:
     """True iff every block of the design is orthogonal to every basis row.
 
-    `design` is anything with `.v` and `.blocks` (an iterable of point
-    triples); the block characteristic vectors are never materialized.
+    `design` is anything with `.v` and `.array`, the (b, 3) int array of
+    its blocks (a BlockDesign, StsInstance or TdInstance); the block
+    characteristic vectors are never materialized.
     """
     if s.ambient_dim != design.v:
         raise ValueError(
             f"ambient dimension {s.ambient_dim} does not match v={design.v}"
         )
-    blocks = list(design.blocks)
-    if not blocks or s.dim == 0:
+    if not len(design.array) or s.dim == 0:
         return True
-    idx = np.asarray(blocks, dtype=np.int64)
-    sums = s.basis[:, idx].sum(axis=2) % 3
+    sums = s.basis[:, design.array].sum(axis=2) % 3
     return not sums.any()
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .designs import Block, BlockDesign, Resolution, StsInstance, TdInstance
 
 FORMAT_VERSION = "1"
@@ -123,12 +125,16 @@ def resolution_record(d: BlockDesign, r: Resolution) -> DesignFileRecord:
 
 
 def resolution_from_record(rec: DesignFileRecord, d: BlockDesign) -> Resolution:
-    """Rebind a resolution file's inline blocks to indices into d."""
-    index = d.block_index()
+    """Rebind a resolution file's inline blocks to indices into d; the
+    first one, in file order, that is not a block of d is named."""
+    flat = [sorted(b) for cls in rec.classes for b in cls]
+    n = next((i for i, b in enumerate(flat) if len(b) != 3 or b[0] < 0 or b[2] >= d.v),
+             len(flat))
     try:
-        classes = tuple(
-            tuple(sorted(index[tuple(sorted(b))] for b in cls)) for cls in rec.classes
-        )
+        pos = d.lookup(np.array(flat[:n], dtype=np.int64).reshape(-1, 3))
+        if n < len(flat):
+            raise KeyError(tuple(flat[n]))
     except KeyError as exc:
         raise ValueError(f"resolution references unknown block {exc.args[0]}") from exc
-    return Resolution(classes)
+    ends = np.cumsum([len(cls) for cls in rec.classes], dtype=np.intp)
+    return Resolution(tuple(tuple(np.sort(c).tolist()) for c in np.split(pos, ends)[:-1]))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf3
-from .composition import Decomposition, compose
+from .composition import Decomposition, embedded_parts
 from .designs import BlockDesign, StsInstance, dual_space, permute_design, permute_sts
 
 
@@ -207,7 +207,8 @@ def force_exact_rank(d: Decomposition) -> StsInstance:
     """Rebuild compose(d) with the first sub-system permuted so the dual
     space is exactly the row space of generator_gvk(v, k).
 
-    Steps: split off everything outside the first group; read its dual's
+    Steps: embed every ingredient but the first sub-system, the blocks
+    outside the first group (B-), without composing d; read its dual's
     excess dimensions k'-k and the within-group layout; canonicalize the
     first sub-system's own dual (sigma, l); pick the intersection
     permutation at level t = max(l, k'-k); reinsert the sub-system
@@ -217,8 +218,9 @@ def force_exact_rank(d: Decomposition) -> StsInstance:
     the blocks outside the first group, the one elimination of a v-column
     matrix here, as the vectors of that dual orthogonal to every block of
     the new sub-system, and compared with the row space of G(v, k); rank
-    v-k-1 follows by rank-nullity.  Defined for the plain grouping
-    (t = 0) only.
+    v-k-1 follows by rank-nullity.  The returned StsInstance is the one
+    pair-coverage check of a v-point system.  Defined for the plain
+    grouping (t = 0) only.
     """
     k, t_order = d.k, d.T
     if d.t != 0:
@@ -228,8 +230,8 @@ def force_exact_rank(d: Decomposition) -> StsInstance:
     if t_order <= 3:
         raise ValueError("sub-system order must exceed 3")
     v = d.v
-    a = compose(d).design.array
-    b_minus = BlockDesign(v, a[a[:, 2] >= t_order])
+    subs, tds = embedded_parts(d)
+    b_minus = BlockDesign(v, np.concatenate(subs[1:] + list(tds.values())))
     dual_minus = dual_space(b_minus)
     layout = gf3.generator_gvk(v, k)
     # Rows extending the layout code to a basis of the bigger dual.
@@ -244,7 +246,7 @@ def force_exact_rank(d: Decomposition) -> StsInstance:
     pi = perm_intersection(t_order, level)
     relabel = tau0.inverse().after(pi.after(sigma))
     replaced = permute_design(d.sub_systems[0].design, relabel.image)
-    result = StsInstance(BlockDesign(v, b_minus.blocks + replaced.blocks))
+    result = StsInstance(BlockDesign(v, np.concatenate([b_minus.array, replaced.array])))
 
     # dual(result) = the combinations c @ dual_minus.basis with c orthogonal
     # to every column of sums, one column per replaced block.

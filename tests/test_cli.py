@@ -162,6 +162,24 @@ def test_malformed_file_exits_2_without_traceback(tmp_path, name):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def test_verify_resolution_with_unknown_block(tmp_path, capsys):
+    out = str(tmp_path / "ag2")
+    run(capsys, "construct", "ag", "--k", "2", "--out", out)
+    bad = tmp_path / "bad.resolution.jsonl"
+    bad.write_text(
+        '{"format_version":"1","kind":"resolution","v":9}\n'
+        "[[0,1,2],[3,4,5],[6,7,8]]\n[[0,1,3],[2,4,8]]\n",
+        encoding="utf-8",
+    )
+    code, stdout, _ = run(capsys, "verify", f"{out}.sts.jsonl", "--resolution", str(bad))
+    assert code == 1
+    assert json.loads(stdout) == {"ok": False, "checks": [
+        {"check": "sts-axioms", "ok": True},
+        {"check": "resolution", "ok": False,
+         "detail": "resolution references unknown block (0, 1, 3)"},
+    ]}
+
+
 def test_missing_file_exits_4(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(tmp_path / "absent.jsonl"))
     assert code == 4

@@ -113,7 +113,7 @@ def test_decompose_rejects_non_orthogonal():
     s = compose(linear_decomposition(1, 3))
     image = list(range(9))
     image[0], image[3] = image[3], image[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="as laid out"):
         decompose(permute_sts(s, image), 1)
 
 

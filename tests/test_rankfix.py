@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisys import gf3, rankfix
+from trisys import designs, gf3, rankfix
 from trisys.composition import Decomposition, compose, random_decomposition, split_ag
 from trisys.constructions import affine_geometry, kts15, latin_with_mate, small_sts
 from trisys.designs import (
@@ -298,6 +298,21 @@ def test_force_exact_rank_eliminates_one_v_point_design(monkeypatch):
         return dual_space(d)
 
     monkeypatch.setattr(rankfix, "dual_space", counting)
+    force_exact_rank(dec)
+    assert seen.count(dec.v) == 1
+
+
+def test_force_exact_rank_verifies_one_v_point_system(monkeypatch):
+    # The result's StsInstance is the one STS certificate of a v-point
+    # system; B- is never composed into a checked system of its own.
+    dec = random_decomposition(2, 7, random.Random(17))
+    seen = []
+
+    def counting(d):
+        seen.append(d.v)
+        return verify_sts(d)
+
+    monkeypatch.setattr(designs, "verify_sts", counting)
     force_exact_rank(dec)
     assert seen.count(dec.v) == 1
 
