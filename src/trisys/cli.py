@@ -196,7 +196,7 @@ def _cmd_verify(args) -> int:
             code = gf3.row_space(gf3.generator_gvk(v_target, k_target))
             add("orthogonal", gf3.is_orthogonal(design, code))
 
-    if args.rank:
+    if args.rank is not None:
         r = p_rank(design, args.rank)
         checks.append({"check": f"rank-{args.rank}", "ok": True, "value": r})
 

@@ -9,6 +9,11 @@ search on their codes.  The STS and TD axioms are one check on the array:
 every required pair p < q, coded p*v + q, must occur in exactly one block.
 StsInstance, TdInstance and LatinSquare validate their axioms on
 construction; the verify_* functions report on untrusted input.
+
+Ranks and dual spaces are exact without the b x v incidence matrix M: the
+null space N of a stride sample of min(b, 2v) blocks contains null(M), and
+equals it once every block is orthogonal to N (one gather checks all); a
+failing block raises the sample's rank, so regrowing by failing blocks ends.
 """
 
 from __future__ import annotations
@@ -84,11 +89,16 @@ class BlockDesign:
         return pos
 
 
-def incidence_matrix(d: BlockDesign) -> np.ndarray:
-    """|blocks| x v characteristic 0/1 matrix."""
-    m = np.zeros((len(d.blocks), d.v), dtype=np.int64)
-    m[np.arange(len(d.blocks))[:, None], d.array] = 1
+def _characteristic(rows: np.ndarray, v: int) -> np.ndarray:
+    """The 0/1 characteristic vectors of an (n, 3) block array."""
+    m = np.zeros((len(rows), v), dtype=np.int64)
+    m[np.arange(len(rows))[:, None], rows] = 1
     return m
+
+
+def incidence_matrix(d: BlockDesign) -> np.ndarray:
+    """|blocks| x v characteristic 0/1 matrix (the dense oracle for tests)."""
+    return _characteristic(d.array, d.v)
 
 
 def _pair_faults(v: int, blocks: np.ndarray, required: np.ndarray, name: str) -> list[str]:
@@ -237,18 +247,31 @@ def verify_resolution(d: BlockDesign, r: Resolution) -> VerificationReport:
     return VerificationReport.from_violations(violations)
 
 
+def _verified_null_basis(d: BlockDesign, p: int) -> np.ndarray:
+    """Rows spanning the x with every block of d summing to 0 mod p (module
+    docstring); the first elimination always runs, so p is always checked."""
+    a, v = d.array, d.v
+    m = _characteristic(a if len(a) <= 2 * v else a[np.arange(2 * v) * len(a) // (2 * v)], v)
+    while True:
+        r, pivots = gf3.rref(m, p)
+        basis = gf3.null_basis(r, pivots, p)
+        failing = np.flatnonzero((basis[:, a].sum(axis=2) % p).any(axis=0))
+        if not failing.size:
+            return basis
+        # The reduced rows plus at most dim failing blocks: at most v rows.
+        m = np.vstack([r[: len(pivots)], _characteristic(a[failing[: len(basis)]], v)])
+
+
 def p_rank(d: BlockDesign, p: int) -> int:
-    """Rank over GF(p) of the blocks-by-points incidence matrix."""
-    if not d.blocks:
-        return 0
-    return gf3.rank(incidence_matrix(d), p)
+    """Rank over GF(p) of the incidence matrix, exactly: v minus the dimension
+    of the sample's null space once every block passes (module docstring)."""
+    return d.v - len(_verified_null_basis(d, p))
 
 
 def dual_space(d: BlockDesign) -> gf3.Subspace:
-    """The GF(3) dual: all vectors orthogonal to every block."""
-    if not d.blocks:
-        return gf3.row_space(np.eye(d.v, dtype=np.int64))
-    return gf3.null_space(incidence_matrix(d), 3)
+    """The GF(3) dual, all vectors orthogonal to every block: exactly the
+    sample's null space once every block passes (module docstring)."""
+    return gf3.Subspace.from_rows(_verified_null_basis(d, 3), d.v)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ def rref(m, p: int = 3) -> tuple[np.ndarray, list[int]]:
     is the rank.
     """
     _check_prime(p)
-    a = as_matrix(m, p).copy()
+    a = as_matrix(m, p)
     n_rows, n_cols = a.shape
     pivots: list[int] = []
     r = 0
@@ -49,8 +49,7 @@ def rref(m, p: int = 3) -> tuple[np.ndarray, list[int]]:
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
+        a[[r, pr]] = a[[pr, r]]
         inv = pow(int(a[r, c]), p - 2, p)
         a[r] = (a[r] * inv) % p
         others = np.nonzero(a[:, c])[0]
@@ -100,8 +99,7 @@ class Subspace:
     @staticmethod
     def from_rows(rows, ambient_dim: int | None = None) -> "Subspace":
         a = as_matrix(rows, 3)
-        if ambient_dim is None:
-            ambient_dim = a.shape[1]
+        ambient_dim = a.shape[1] if ambient_dim is None else ambient_dim
         if a.shape[1] != ambient_dim:
             raise ValueError("row length does not match ambient dimension")
         r, pivots = rref(a, 3)
@@ -111,9 +109,7 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        b = np.zeros((0, ambient_dim), dtype=np.int64)
-        b.setflags(write=False)
-        return Subspace(ambient_dim, b)
+        return Subspace.from_rows(np.zeros((0, ambient_dim), dtype=np.int64), ambient_dim)
 
     @property
     def dim(self) -> int:
@@ -137,8 +133,19 @@ class Subspace:
 
 
 def row_space(m) -> Subspace:
-    a = as_matrix(m, 3)
-    return Subspace.from_rows(a, a.shape[1])
+    return Subspace.from_rows(m)
+
+
+def null_basis(r: np.ndarray, pivots: list[int], p: int = 3) -> np.ndarray:
+    """Independent rows spanning the null space of a matrix with RREF (r, pivots),
+    over any GF(p): per free column f, 1 at f and -r[i, f] at pivot column i."""
+    is_free = np.ones(r.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, r.shape[1]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-r[: len(pivots), free].T) % p
+    return basis
 
 
 def null_space(m, p: int = 3) -> Subspace:
@@ -149,18 +156,8 @@ def null_space(m, p: int = 3) -> Subspace:
     """
     if p != 3:
         raise ValueError("null_space is provided over GF(3) only")
-    a = as_matrix(m, p)
-    n_cols = a.shape[1]
-    r, pivots = rref(a, p)
-    free = [c for c in range(n_cols) if c not in pivots]
-    if not free:
-        return Subspace.zero(n_cols)
-    basis = np.zeros((len(free), n_cols), dtype=np.int64)
-    for j, f in enumerate(free):
-        basis[j, f] = 1
-        for i, c in enumerate(pivots):
-            basis[j, c] = (-r[i, f]) % p
-    return Subspace.from_rows(basis, n_cols)
+    r, pivots = rref(m, p)
+    return Subspace.from_rows(null_basis(r, pivots, p), r.shape[1])
 
 
 def intersect_dim(a: Subspace, b: Subspace) -> int:
@@ -169,10 +166,7 @@ def intersect_dim(a: Subspace, b: Subspace) -> int:
         raise ValueError(
             f"ambient dimension mismatch: {a.ambient_dim} != {b.ambient_dim}"
         )
-    if a.dim == 0 or b.dim == 0:
-        return 0
-    stacked = np.vstack([a.basis, b.basis])
-    return a.dim + b.dim - rank(stacked, 3)
+    return a.dim + b.dim - rank(np.vstack([a.basis, b.basis]), 3)
 
 
 def is_orthogonal(design, s: Subspace) -> bool:
@@ -186,8 +180,6 @@ def is_orthogonal(design, s: Subspace) -> bool:
         raise ValueError(
             f"ambient dimension {s.ambient_dim} does not match v={design.v}"
         )
-    if not len(design.array) or s.dim == 0:
-        return True
     sums = s.basis[:, design.array].sum(axis=2) % 3
     return not sums.any()
 

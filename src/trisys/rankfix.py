@@ -215,9 +215,9 @@ def force_exact_rank(d: Decomposition) -> StsInstance:
     through that permutation, undoing the within-group sorting so that
     all blocks outside the first group stay untouched.  The dual space of
     the result is never trusted: it is derived exactly from the dual of
-    the blocks outside the first group, the one elimination of a v-column
-    matrix here, as the vectors of that dual orthogonal to every block of
-    the new sub-system, and compared with the row space of G(v, k); rank
+    the blocks outside the first group, its one `dual_space` call, as
+    the vectors of that dual orthogonal to every block of the new
+    sub-system, and compared with the row space of G(v, k); rank
     v-k-1 follows by rank-nullity.  The returned StsInstance is the one
     pair-coverage check of a v-point system.  Defined for the plain
     grouping (t = 0) only.

@@ -117,3 +117,44 @@ def test_force_rank_prints_rank_of_written_file(tmp_path, capsys):
     printed = int(capsys.readouterr().out.split("rank3=")[1].split()[0])
     rec = read_design(str(tmp_path / "forced.sts.jsonl"))
     assert printed == p_rank(BlockDesign(rec.v, rec.blocks), 3)
+
+
+# `verify --orthogonal-to V,K --rank P` report lines, recorded while every
+# rank came from a dense elimination of the whole incidence matrix.
+VERIFY_LINES = {
+    ("forced-189", 3): '{"ok":true,"checks":[{"check":"sts-axioms","ok":true},'
+    '{"check":"orthogonal","ok":true},{"check":"rank-3","ok":true,"value":185}]}',
+    ("forced-189", 2): '{"ok":true,"checks":[{"check":"sts-axioms","ok":true},'
+    '{"check":"orthogonal","ok":true},{"check":"rank-2","ok":true,"value":189}]}',
+    ("forced-189", 5): '{"ok":true,"checks":[{"check":"sts-axioms","ok":true},'
+    '{"check":"orthogonal","ok":true},{"check":"rank-5","ok":true,"value":189}]}',
+    ("ag-27", 3): '{"ok":true,"checks":[{"check":"sts-axioms","ok":true},'
+    '{"check":"orthogonal","ok":true},{"check":"rank-3","ok":true,"value":23}]}',
+    ("ag-27", 2): '{"ok":true,"checks":[{"check":"sts-axioms","ok":true},'
+    '{"check":"orthogonal","ok":true},{"check":"rank-2","ok":true,"value":27}]}',
+    ("ag-27", 5): '{"ok":true,"checks":[{"check":"sts-axioms","ok":true},'
+    '{"check":"orthogonal","ok":true},{"check":"rank-5","ok":true,"value":27}]}',
+}
+
+
+@pytest.fixture(scope="module")
+def verify_inputs(tmp_path_factory):
+    """The force-rank file of (k, T, seed) = (3, 7, 1) and the AG(3) file,
+    each with the V,K its `--orthogonal-to` names."""
+    d = tmp_path_factory.mktemp("verify")
+    assert main(["construct", "compose", "--k", "3", "--T", "7", "--seed", "1",
+                 "--out", str(d / "c")]) == 0
+    assert main(["construct", "force-rank", "--in", str(d / "c.sts.jsonl"),
+                 "--out", str(d / "forced")]) == 0
+    assert main(["construct", "ag", "--k", "3", "--out", str(d / "ag3")]) == 0
+    return {"forced-189": (d / "forced.sts.jsonl", "189,3"),
+            "ag-27": (d / "ag3.sts.jsonl", "27,3")}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_LINES))
+def test_verify_rank_report_golden(verify_inputs, capsys, case):
+    name, p = case
+    path, vk = verify_inputs[name]
+    capsys.readouterr()
+    assert main(["verify", str(path), "--orthogonal-to", vk, "--rank", str(p)]) == 0
+    assert capsys.readouterr().out.strip() == VERIFY_LINES[case]

@@ -1,0 +1,162 @@
+"""Ranks and dual spaces from a verified row sample, against the dense oracle.
+
+`dual_space` and `p_rank` never eliminate the whole incidence matrix; the
+dense `null_space(incidence_matrix(d))` and `rank(incidence_matrix(d), p)`
+serve here as the oracle they must match exactly.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from trisys import gf3
+from trisys.composition import compose, decompose, random_decomposition
+from trisys.constructions import affine_geometry
+from trisys.designs import BlockDesign, dual_space, incidence_matrix, p_rank
+from trisys.rankfix import force_exact_rank
+
+PRIMES = (2, 3, 5, 7)
+AG4 = affine_geometry(4).sts.design
+COMPOSED_63 = compose(random_decomposition(2, 7, random.Random(3))).design
+
+
+def assert_matches_dense(d: BlockDesign, p: int) -> None:
+    m = incidence_matrix(d)
+    assert p_rank(d, p) == (gf3.rank(m, p) if len(m) else 0)
+    if p == 3:
+        want = gf3.null_space(m) if len(m) else gf3.row_space(np.eye(d.v, dtype=np.int64))
+        assert dual_space(d) == want
+
+
+@st.composite
+def triple_sets(draw):
+    v = draw(st.integers(3, 24))
+    triples = st.frozensets(st.integers(0, v - 1), min_size=3, max_size=3)
+    return BlockDesign(v, tuple(tuple(b) for b in draw(st.sets(triples, max_size=90))))
+
+
+@st.composite
+def sub_designs(draw):
+    """A random subset or a sorted prefix of the blocks of AG(4) or of a
+    composed v = 63 system."""
+    whole = draw(st.sampled_from([AG4, COMPOSED_63]))
+    a = whole.array
+    if draw(st.booleans()):
+        keep = a[: draw(st.integers(0, len(a)))]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        keep = a[rng.random(len(a)) < draw(st.sampled_from([0.02, 0.1, 0.5, 0.9, 1.0]))]
+    return BlockDesign(whole.v, keep)
+
+
+SETTINGS = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@SETTINGS
+@given(triple_sets(), st.sampled_from(PRIMES))
+def test_random_triple_sets_match_dense(d, p):
+    assert_matches_dense(d, p)
+
+
+@SETTINGS
+@given(sub_designs(), st.sampled_from(PRIMES))
+def test_sub_designs_match_dense(d, p):
+    assert_matches_dense(d, p)
+
+
+@pytest.mark.parametrize("v", [0, 1, 5])
+@pytest.mark.parametrize("p", PRIMES)
+def test_empty_design(v, p):
+    d = BlockDesign(v, ())
+    assert p_rank(d, p) == 0
+    assert dual_space(d).dim == v
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 257])
+def test_p_rank_rejects_non_primes_for_empty_designs_too(p):
+    for d in (BlockDesign(5, ()), BlockDesign(3, ((0, 1, 2),))):
+        with pytest.raises(ValueError, match="must be a prime"):
+            p_rank(d, p)
+
+
+def record_rref(monkeypatch) -> list:
+    """Monkeypatch gf3.rref to record each input matrix; returns the list."""
+    seen = []
+    rref = gf3.rref
+
+    def recording(m, p=3):
+        seen.append(np.array(m))
+        return rref(m, p)
+
+    monkeypatch.setattr(gf3, "rref", recording)
+    return seen
+
+
+def test_grow_branch(monkeypatch):
+    # All 20 triples of {0..5}, then (4, 5, 6), the only block on point 6:
+    # sorted last, the stride sample of 2v = 14 of the 21 blocks misses it.
+    d = BlockDesign(7, list(combinations(range(6), 3)) + [(4, 5, 6)])
+    seen = record_rref(monkeypatch)
+    dual = dual_space(d)
+    first_sample = seen[0]
+    assert first_sample.shape == (14, 7)
+    assert gf3.null_space(first_sample).dim > dual.dim
+    assert len(seen) > 2  # the first sample, at least one regrowth, from_rows
+    monkeypatch.undo()
+    assert dual == gf3.null_space(incidence_matrix(d))
+    assert dual == gf3.row_space(np.ones((1, 7), dtype=np.int64))
+    for p in PRIMES:
+        assert_matches_dense(d, p)
+
+
+def test_no_elimination_sees_more_than_3v_rows_at_v189(monkeypatch):
+    dec = random_decomposition(3, 7, random.Random(1))
+    s = compose(dec)
+    v = s.v
+    seen = record_rref(monkeypatch)
+    assert dual_space(s.design).dim == 4
+    assert [p_rank(s.design, p) for p in PRIMES] == [189, 185, 189, 189]
+    forced = force_exact_rank(decompose(s, 3))
+    assert p_rank(forced.design, 3) == v - 4
+    assert seen
+    assert max(len(m) for m in seen) <= 3 * v
+
+
+def test_verify_rank_non_prime_exits_2(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(q for q in (src, env.get("PYTHONPATH")) if q)
+    design = tmp_path / "fano.sts.jsonl"
+    design.write_text(
+        json.dumps({"format_version": "1", "kind": "sts", "v": 7}) + "\n"
+        + "".join(json.dumps(b) + "\n" for b in
+                  ([0, 1, 3], [1, 2, 4], [2, 3, 5], [3, 4, 6], [0, 4, 5], [1, 5, 6], [0, 2, 6])),
+        encoding="utf-8",
+    )
+
+    def verify(p):
+        return subprocess.run(
+            [sys.executable, "-m", "trisys.cli", "verify", str(design), "--rank", str(p)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    for p in (0, 1, 4, -3):
+        proc = verify(p)
+        assert proc.returncode == 2, p
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+    ok = verify(3)
+    assert ok.returncode == 0
+    # The Fano incidence matrix has determinant 24, so its 3-rank is 6.
+    assert json.loads(ok.stdout)["checks"][-1] == {"check": "rank-3", "ok": True, "value": 6}
