@@ -2,7 +2,7 @@
 
 A parallel class is an exact cover of the points by blocks; a resolution
 is an exact cover of the block set by parallel classes.  Running the
-dancing-links solver twice settles resolvability, and the node budget
+bitset Algorithm X solver twice settles resolvability, and the node budget
 keeps "no answer within budget" distinct from "proven impossible".
 """
 

@@ -118,7 +118,11 @@ def _cmd_construct(args) -> int:
         outcome = search_resolution(s.design, limits)
         if outcome.resolution is None:
             reason = "budget exceeded" if outcome.budget_exceeded else "no resolution exists"
-            print(f"resolution search failed: {reason}", file=sys.stderr)
+            print(
+                f"resolution search failed: {reason} after {outcome.nodes_used} nodes, "
+                f"{outcome.classes_found} parallel classes",
+                file=sys.stderr,
+            )
             return EXIT_SEARCH_FAILED
         out = out or "resolved"
         _write(f"{out}.resolution.jsonl", resolution_record(s.design, outcome.resolution))

@@ -1,39 +1,31 @@
-"""Exact cover by Algorithm X with dancing links.
+"""Exact cover by Algorithm X on integer bitsets.
 
 Given columns 0..n-1 and rows (each a set of column indices), find row
-subsets covering every column exactly once.  Deterministic: the column
-with the fewest candidates is chosen (leftmost on ties) and rows are
-tried in insertion order, so the solution sequence is a pure function
-of the input ordering.
+subsets covering every column exactly once.  Deterministic: the open
+column with the fewest alive candidates is chosen (leftmost on ties, the
+rule of Knuth's "Dancing Links", arXiv:cs/0011047) and its rows are tried
+in insertion order, so the solution sequence is a pure function of the
+input ordering.
 
-A node budget caps the search; `complete` in the result tells whether
-the space was exhausted, so "no solution found" and "ran out of budget"
-stay distinguishable.
+Each column holds one Python int whose bit r is set when row r has the
+column; the masks are built once per solve, through one bytearray per
+column, from the rows kept as sorted tuples of their columns.  The
+search state is the list of open columns and the int of alive rows, so a
+candidate count is one AND and one `int.bit_count`.  Trying a row kills
+every row it clashes with: its clash mask is the OR of its columns' masks,
+formed when the row is tried.  A precomputed rows x rows clash table would
+cost rows^2 / 8 bytes (125 GB at 10^6 rows); the column masks cost
+n_cols * rows / 8 bytes, about 15 MB for 117 columns and 10^6 rows.
+
+A node is one row try.  A node budget caps the search; `complete` in the
+result tells whether the space was exhausted, so "no solution found" and
+"ran out of budget" stay distinguishable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-
-class _Node:
-    __slots__ = ("left", "right", "up", "down", "column", "row_id")
-
-    def __init__(self):
-        self.left = self.right = self.up = self.down = self
-        self.column: "_Column" = None  # type: ignore[assignment]
-        self.row_id = -1
-
-
-class _Column(_Node):
-    __slots__ = ("size", "name")
-
-    def __init__(self, name: int):
-        super().__init__()
-        self.column = self
-        self.size = 0
-        self.name = name
 
 
 @dataclass(frozen=True)
@@ -45,118 +37,79 @@ class CoverResult:
 
 class ExactCover:
     def __init__(self, n_cols: int):
-        self.header = _Column(-1)
-        self.columns = [_Column(i) for i in range(n_cols)]
-        prev: _Node = self.header
-        for col in self.columns:
-            col.left = prev
-            col.right = self.header
-            prev.right = col
-            self.header.left = col
-            prev = col
-        self.n_rows = 0
+        self.n_cols = n_cols
+        self._rows: list[tuple[int, ...]] = []
+
+    @property
+    def n_rows(self) -> int:
+        return len(self._rows)
 
     def add_row(self, cols: Iterable[int]) -> int:
-        row_id = self.n_rows
-        self.n_rows += 1
-        first: _Node | None = None
-        for c in sorted(set(cols)):
-            column = self.columns[c]
-            node = _Node()
-            node.column = column
-            node.row_id = row_id
-            node.down = column
-            node.up = column.up
-            column.up.down = node
-            column.up = node
-            column.size += 1
-            if first is None:
-                first = node
-            else:
-                node.left = first.left
-                node.right = first
-                first.left.right = node
-                first.left = node
+        """Append a row (repeated columns merged) and return its index."""
+        row_id = len(self._rows)
+        row = tuple(sorted(set(cols)))
+        if row and not (row[0] >= 0 and row[-1] < self.n_cols):
+            bad = row[0] if row[0] < 0 else row[-1]
+            raise ValueError(f"row {row_id} has column {bad}, not in range({self.n_cols})")
+        self._rows.append(row)
         return row_id
 
-    def _cover(self, column: _Column) -> None:
-        column.right.left = column.left
-        column.left.right = column.right
-        row = column.down
-        while row is not column:
-            node = row.right
-            while node is not row:
-                node.down.up = node.up
-                node.up.down = node.down
-                node.column.size -= 1
-                node = node.right
-            row = row.down
-
-    def _uncover(self, column: _Column) -> None:
-        row = column.up
-        while row is not column:
-            node = row.left
-            while node is not row:
-                node.column.size += 1
-                node.down.up = node
-                node.up.down = node
-                node = node.left
-            row = row.up
-        column.right.left = column
-        column.left.right = column
+    def _column_masks(self) -> list[int]:
+        bufs = [bytearray((len(self._rows) + 7) // 8) for _ in range(self.n_cols)]
+        for r, row in enumerate(self._rows):
+            byte, bit = r >> 3, 1 << (r & 7)
+            for c in row:
+                bufs[c][byte] |= bit
+        return [int.from_bytes(buf, "little") for buf in bufs]
 
     def solve(self, max_solutions: int = 1, node_budget: int = 10**8) -> CoverResult:
+        masks = self._column_masks()
+        rows = self._rows
+        none = len(rows) + 1  # more candidates than any column has
         solutions: list[tuple[int, ...]] = []
         partial: list[int] = []
         nodes = 0
         stopped = False
 
-        def search() -> bool:
+        def search(open_cols: list[int], alive: int) -> bool:
             """False aborts the whole search (budget hit or enough solutions)."""
             nonlocal nodes, stopped
-            if self.header.right is self.header:
+            if not open_cols:
                 solutions.append(tuple(sorted(partial)))
                 if len(solutions) >= max_solutions:
                     stopped = True
                     return False
                 return True
-            # Smallest column first; leftmost wins ties.
-            col = None
-            c = self.header.right
-            while c is not self.header:
-                if col is None or c.size < col.size:
-                    col = c
-                c = c.right
-            if col.size == 0:
-                return True
-            self._cover(col)
-            aborted = False
-            row = col.down
-            while row is not col:
+            # Fewest alive candidates first; leftmost wins ties, and a
+            # column with none ends this branch at once.
+            best, fewest = -1, none
+            for c in open_cols:
+                count = (masks[c] & alive).bit_count()
+                if count < fewest:
+                    if not count:
+                        return True
+                    best, fewest = c, count
+            candidates = masks[best] & alive
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
                 nodes += 1
                 if nodes > node_budget:
                     stopped = True
-                    aborted = True
-                    break
-                partial.append(row.row_id)
-                node = row.right
-                while node is not row:
-                    self._cover(node.column)
-                    node = node.right
-                ok = search()
-                node = row.left
-                while node is not row:
-                    self._uncover(node.column)
-                    node = node.left
+                    return False
+                r = low.bit_length() - 1
+                cols = rows[r]
+                clash = 0
+                for c in cols:
+                    clash |= masks[c]
+                partial.append(r)
+                ok = search([c for c in open_cols if c not in cols], alive & ~clash)
                 partial.pop()
                 if not ok:
-                    aborted = True
-                    break
-                row = row.down
-            self._uncover(col)
-            return not aborted
+                    return False
+            return True
 
-        search()
+        search(list(range(self.n_cols)), (1 << len(rows)) - 1)
         return CoverResult(tuple(solutions), not stopped, nodes)
 
 

@@ -107,6 +107,21 @@ def test_resolve_budget_failure_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "budget" in err
+    # Pass A stops at its second node try, before it finds a class.
+    assert err == "resolution search failed: budget exceeded after 2 nodes, 0 parallel classes\n"
+
+
+def test_resolve_absence_exits_3(tmp_path, capsys):
+    # This order-21 system has 212 parallel classes and no resolution.
+    out = str(tmp_path / "a")
+    run(capsys, "construct", "compose", "--k", "1", "--T", "7", "--seed", "0", "--out", out)
+    code, _, err = run(
+        capsys, "construct", "resolve", "--in", f"{out}.sts.jsonl", "--out", str(tmp_path / "r")
+    )
+    assert code == 3
+    assert err == (
+        "resolution search failed: no resolution exists after 1819 nodes, 212 parallel classes\n"
+    )
 
 
 def test_verify_duplicate_block_exits_1(tmp_path, capsys):

@@ -1,6 +1,17 @@
-"""The dancing-links exact-cover engine."""
+"""The bitset exact-cover engine: answers, order, caps and input checks.
 
-from trisys.exact_cover import solve_exact_cover
+The hypothesis test compares `solve_exact_cover` with a brute-force
+oracle over every subset of a few random rows; the pinned cases fix the
+edge behaviour (no columns, empty rows, repeated and bad column indices).
+"""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trisys.exact_cover import CoverResult, ExactCover, solve_exact_cover
 
 # Knuth's running example: 7 columns, unique solution {row0, row3, row4}.
 KNUTH_ROWS = [
@@ -52,3 +63,81 @@ def test_deterministic_order():
     b = solve_exact_cover(4, rows, max_solutions=100)
     assert a.solutions == b.solutions
     assert a.nodes == b.nodes
+
+
+def brute_force(n_cols, rows):
+    """Every set of nonempty rows that covers each column exactly once."""
+    sets = [frozenset(r) for r in rows]
+    nonempty = [i for i, s in enumerate(sets) if s]
+    found = set()
+    for size in range(len(nonempty) + 1):
+        for chosen in combinations(nonempty, size):
+            cols = [c for i in chosen for c in sets[i]]
+            if len(cols) == n_cols and set(cols) == set(range(n_cols)):
+                found.add(chosen)
+    return found
+
+
+@st.composite
+def instances(draw):
+    n_cols = draw(st.integers(0, 8))
+    row = st.lists(st.integers(0, n_cols - 1), max_size=5) if n_cols else st.just([])
+    rows = draw(st.lists(row, max_size=10))
+    return n_cols, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instances(), st.integers(1, 4))
+def test_matches_brute_force(instance, cap):
+    n_cols, rows = instance
+    expected = brute_force(n_cols, rows)
+    full = solve_exact_cover(n_cols, rows, max_solutions=len(expected) + 1)
+    assert full.complete
+    assert all(list(s) == sorted(s) for s in full.solutions)
+    assert len(full.solutions) == len(expected)
+    assert set(full.solutions) == expected
+    capped = solve_exact_cover(n_cols, rows, max_solutions=cap)
+    assert capped.solutions == full.solutions[:cap]
+    assert capped.complete == (len(expected) < cap)
+    assert capped.nodes <= full.nodes
+
+
+def test_no_columns_has_the_empty_cover():
+    assert solve_exact_cover(0, []) == CoverResult(((),), False, 0)
+    assert solve_exact_cover(0, [], max_solutions=2) == CoverResult(((),), True, 0)
+
+
+def test_empty_row_is_never_chosen():
+    res = solve_exact_cover(2, [(), (0, 1), ()], max_solutions=5)
+    assert res == CoverResult(((1,),), True, 1)
+    assert solve_exact_cover(1, [()], max_solutions=5) == CoverResult((), True, 0)
+
+
+def test_repeated_columns_are_merged():
+    res = solve_exact_cover(2, [(0, 0, 1), (1, 1), (0,)], max_solutions=5)
+    assert res == CoverResult(((0,), (1, 2)), True, 3)
+
+
+@pytest.mark.parametrize(
+    "n_cols, rows, text",
+    [
+        (3, [(0, 1), (-1,)], "row 1 has column -1, not in range(3)"),
+        (3, [(3, 0)], "row 0 has column 3, not in range(3)"),
+        (3, [(2,), (-2, 1, 5)], "row 1 has column -2, not in range(3)"),
+        (0, [(0,)], "row 0 has column 0, not in range(0)"),
+    ],
+)
+def test_bad_column_raises_value_error(n_cols, rows, text):
+    with pytest.raises(ValueError) as info:
+        solve_exact_cover(n_cols, rows)
+    assert str(info.value) == text
+
+
+def test_rejected_row_is_not_added():
+    ec = ExactCover(2)
+    assert ec.add_row((0,)) == 0
+    with pytest.raises(ValueError):
+        ec.add_row((1, 2))
+    assert ec.n_rows == 1
+    assert ec.add_row((1,)) == 1
+    assert ec.solve(max_solutions=5) == CoverResult(((0, 1),), True, 2)
