@@ -1,7 +1,10 @@
 """Command-line front end: construct, verify, and bound.
 
 Exit codes: 0 success, 1 verification failure, 2 bad parameters,
-3 construction/search failure (budget), 4 I/O failure.
+3 construction/search failure (budget), 4 I/O failure.  Commands return
+0, 1 or 3 themselves; only `main` maps exceptions to codes: an OSError
+exits 4 and a ValueError (a bad option or a malformed file) exits 2, each
+with one line on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .constructions import affine_geometry, small_sts
 from .designs import (
     BlockDesign,
     StsInstance,
+    VerificationReport,
     p_rank,
     verify_resolution,
     verify_sts,
@@ -41,21 +45,6 @@ EXIT_SEARCH_FAILED = 3
 EXIT_IO = 4
 
 
-def _write(path: str, rec: DesignFileRecord) -> None:
-    try:
-        write_design(path, rec)
-    except OSError as exc:
-        raise _IoFailure(str(exc)) from exc
-
-
-class _IoFailure(Exception):
-    pass
-
-
-class _BadParams(Exception):
-    pass
-
-
 def _summary(s: StsInstance, rank3: int, resolution_attached: bool) -> str:
     res = "attached" if resolution_attached else "none"
     return f"v={s.v} blocks={len(s.blocks)} rank3={rank3} resolution={res}"
@@ -65,28 +54,28 @@ def _cmd_construct(args) -> int:
     out = args.out
     if args.what == "ag":
         if args.k < 1:
-            raise _BadParams("--k must be >= 1")
+            raise ValueError("--k must be >= 1")
         ag = affine_geometry(args.k)
         out = out or f"ag-k{args.k}"
-        _write(f"{out}.sts.jsonl", sts_record(ag.sts, k=args.k))
-        _write(
+        write_design(f"{out}.sts.jsonl", sts_record(ag.sts, k=args.k))
+        write_design(
             f"{out}.resolution.jsonl",
             resolution_record(ag.sts.design, ag.standard_resolution),
         )
         print(_summary(ag.sts, p_rank(ag.sts.design, 3), True))
     elif args.what == "sts":
         if args.T < 1 or args.T % 6 not in (1, 3):
-            raise _BadParams("--T must be 1 or 3 (mod 6)")
+            raise ValueError("--T must be 1 or 3 (mod 6)")
         s = small_sts(args.T)
         out = out or f"sts-T{args.T}"
-        _write(f"{out}.sts.jsonl", sts_record(s, t=args.T))
+        write_design(f"{out}.sts.jsonl", sts_record(s, t=args.T))
         print(_summary(s, p_rank(s.design, 3), False))
     elif args.what == "compose":
         if args.k < 1 or args.T < 1 or args.T % 6 not in (1, 3):
-            raise _BadParams("--k must be >= 1 and --T admissible (1 or 3 mod 6)")
+            raise ValueError("--k must be >= 1 and --T admissible (1 or 3 mod 6)")
         t_split = args.t or 0
         if not 0 <= t_split <= args.k:
-            raise _BadParams("--t must satisfy 0 <= t <= k")
+            raise ValueError("--t must satisfy 0 <= t <= k")
         s = compose(
             random_decomposition(args.k, args.T, random.Random(args.seed), t_split)
         )
@@ -95,24 +84,24 @@ def _cmd_construct(args) -> int:
             + (f"-t{t_split}" if t_split else "")
             + f"-seed{args.seed}"
         )
-        _write(f"{out}.sts.jsonl", sts_record(s, k=args.k, t=args.T, kind="decomposition"))
+        write_design(f"{out}.sts.jsonl", sts_record(s, k=args.k, t=args.T, kind="decomposition"))
         print(_summary(s, p_rank(s.design, 3), False))
     elif args.what == "force-rank":
-        rec = _read_checked(args.infile)
+        rec = read_design(args.infile)
         if rec.kind != "decomposition" or rec.k is None:
-            raise _BadParams("force-rank needs a decomposition file (with k)")
+            raise ValueError("force-rank needs a decomposition file (with k)")
         s = StsInstance(BlockDesign(rec.v, rec.blocks))
         dec = decompose(s, rec.k)
         forced = force_exact_rank(dec)
         out = out or "forced"
-        _write(f"{out}.sts.jsonl", sts_record(forced, k=rec.k))
+        write_design(f"{out}.sts.jsonl", sts_record(forced, k=rec.k))
         # force_exact_rank proved dual = row space of G(v,k), of dimension
         # k+1, so the rank is v-k-1 by rank-nullity.
         print(_summary(forced, forced.v - rec.k - 1, False))
     elif args.what == "resolve":
-        rec = _read_checked(args.infile)
+        rec = read_design(args.infile)
         if rec.kind not in ("sts", "decomposition"):
-            raise _BadParams("resolve needs an sts (or decomposition) file")
+            raise ValueError("resolve needs an sts (or decomposition) file")
         s = StsInstance(BlockDesign(rec.v, rec.blocks))
         limits = SearchLimits(node_budget=args.node_budget, max_classes=args.max_classes)
         outcome = search_resolution(s.design, limits)
@@ -125,87 +114,79 @@ def _cmd_construct(args) -> int:
             )
             return EXIT_SEARCH_FAILED
         out = out or "resolved"
-        _write(f"{out}.resolution.jsonl", resolution_record(s.design, outcome.resolution))
+        write_design(f"{out}.resolution.jsonl", resolution_record(s.design, outcome.resolution))
         print(_summary(s, p_rank(s.design, 3), True))
     return EXIT_OK
 
 
-def _read_checked(path: str) -> DesignFileRecord:
-    try:
-        return read_design(path)
-    except OSError as exc:
-        raise _IoFailure(str(exc)) from exc
+def _entry(check: str, rep: VerificationReport) -> dict:
+    """A report as its line in `verify`'s JSON: a failed check names its
+    first violation, when it has one."""
+    entry = {"check": check, "ok": rep.ok}
+    if rep.violations:
+        entry["detail"] = rep.violations[0]
+    return entry
+
+
+def _resolution_check(design: BlockDesign, rec: DesignFileRecord) -> VerificationReport:
+    """The resolution a file holds, checked against design; ValueError if
+    it names a block that design does not have."""
+    if rec.kind != "resolution":
+        return VerificationReport(False, ("not a resolution file",))
+    return verify_resolution(design, resolution_from_record(rec, design))
+
+
+def _print_report(checks: list[dict]) -> int:
+    ok = all(c["ok"] for c in checks)
+    print(json.dumps({"ok": ok, "checks": checks}, separators=(",", ":")))
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _cmd_verify(args) -> int:
-    rec = _read_checked(args.file)
-    checks: list[dict] = []
-    ok = True
-
-    def add(name: str, passed: bool, detail: str = "") -> None:
-        nonlocal ok
-        ok = ok and passed
-        entry = {"check": name, "ok": passed}
-        if detail:
-            entry["detail"] = detail
-        checks.append(entry)
-
-    design = None
+    rec = read_design(args.file)
     try:
-        if rec.kind in ("sts", "decomposition"):
+        if rec.kind == "resolution":
+            design = BlockDesign(rec.v, tuple(sorted(b for cls in rec.classes for b in cls)))
+            checks = [_entry("resolution", _resolution_check(design, rec))]
+        else:
             design = BlockDesign(rec.v, rec.blocks)
-            rep = verify_sts(design)
-            add("sts-axioms", rep.ok, "" if rep.ok else rep.violations[0])
-        elif rec.kind == "td":
-            design = BlockDesign(rec.v, rec.blocks)
-            if rec.groups is None:
-                add("td-axioms", False, "missing groups record")
+            if rec.kind != "td":
+                checks = [_entry("sts-axioms", verify_sts(design))]
+            elif rec.groups is None:
+                checks = [_entry("td-axioms", VerificationReport(False, ("missing groups record",)))]
             else:
-                rep = verify_td(design, rec.groups)
-                add("td-axioms", rep.ok, "" if rep.ok else rep.violations[0])
-        elif rec.kind == "resolution":
-            blocks = sorted(b for cls in rec.classes for b in cls)
-            design = BlockDesign(rec.v, tuple(blocks))
-            res = resolution_from_record(rec, design)
-            rep = verify_resolution(design, res)
-            add("resolution", rep.ok, "" if rep.ok else rep.violations[0])
+                checks = [_entry("td-axioms", verify_td(design, rec.groups))]
     except ValueError as exc:
         # Malformed designs (duplicate or out-of-range blocks) are failed
         # checks with a named violation, not parameter errors.
-        add("well-formed", False, str(exc))
-        print(json.dumps({"ok": False, "checks": checks}, separators=(",", ":")))
-        return EXIT_CHECK_FAILED
+        return _print_report([_entry("well-formed", VerificationReport(False, (str(exc),)))])
 
     if args.resolution:
-        rrec = _read_checked(args.resolution)
-        if rrec.kind != "resolution":
-            add("resolution", False, "not a resolution file")
-        else:
-            try:
-                res = resolution_from_record(rrec, design)
-                rep = verify_resolution(design, res)
-                add("resolution", rep.ok, "" if rep.ok else rep.violations[0])
-            except ValueError as exc:
-                add("resolution", False, str(exc))
+        rrec = read_design(args.resolution)
+        try:
+            rep = _resolution_check(design, rrec)
+        except ValueError as exc:
+            rep = VerificationReport(False, (str(exc),))
+        checks.append(_entry("resolution", rep))
 
     if args.orthogonal_to:
         try:
             v_str, k_str = args.orthogonal_to.split(",")
             v_target, k_target = int(v_str), int(k_str)
         except ValueError:
-            raise _BadParams("--orthogonal-to expects v,k")
+            raise ValueError("--orthogonal-to expects v,k")
         if v_target != rec.v:
-            add("orthogonal", False, f"file has v={rec.v}, expected {v_target}")
+            rep = VerificationReport(False, (f"file has v={rec.v}, expected {v_target}",))
         else:
             code = gf3.row_space(gf3.generator_gvk(v_target, k_target))
-            add("orthogonal", gf3.is_orthogonal(design, code))
+            rep = VerificationReport(gf3.is_orthogonal(design, code))
+        checks.append(_entry("orthogonal", rep))
 
     if args.rank is not None:
         r = p_rank(design, args.rank)
         checks.append({"check": f"rank-{args.rank}", "ok": True, "value": r})
 
-    print(json.dumps({"ok": ok, "checks": checks}, separators=(",", ":")))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _print_report(checks)
 
 
 def _cmd_bound(args) -> int:
@@ -217,7 +198,7 @@ def _cmd_bound(args) -> int:
         rep = bound_thm1prime(args.T, args.k, args.n1, args.n3)
     else:
         if args.n1hat is None:
-            raise _BadParams("thm2 requires --n1hat")
+            raise ValueError("thm2 requires --n1hat")
         rep = bound_thm2(args.T, args.k, args.n1hat, args.n3)
     print(f"formula: {rep.formula_id}")
     for name, value in rep.inputs.items():
@@ -287,12 +268,12 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_bound(args)
-    except (_BadParams, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except _IoFailure as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_ARGS
 
 
 if __name__ == "__main__":

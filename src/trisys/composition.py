@@ -214,26 +214,24 @@ def compose_resolution(
     if len(sub_resolutions) != len(subs):
         raise ValueError("one resolution per sub-system is required")
     for s, r in zip(subs, sub_resolutions):
-        rep = verify_resolution(s.design, r)
-        if not rep.ok:
-            raise ValueError(f"invalid sub-system resolution: {rep.violations[0]}")
+        verify_resolution(s.design, r).require(ValueError, "invalid sub-system resolution")
     td_resolutions = {tuple(sorted(key)): r for key, r in td_resolutions.items()}
     if set(td_resolutions) != set(dec.tds):
         raise ValueError("need exactly one resolution per transversal design")
     for key, r in td_resolutions.items():
-        rep = verify_resolution(dec.tds[key].design, r)
-        if not rep.ok:
-            raise ValueError(f"invalid TD resolution at {key}: {rep.violations[0]}")
+        verify_resolution(dec.tds[key].design, r).require(
+            ValueError, f"invalid TD resolution at {key}"
+        )
     outer = BlockDesign(3**dec.k, tuple(split_ag(dec.k, dec.t)[1]))
-    rep = verify_resolution(outer, outer_resolution)
-    if not rep.ok:
-        raise ValueError(f"invalid outer resolution: {rep.violations[0]}")
+    verify_resolution(outer, outer_resolution).require(ValueError, "invalid outer resolution")
 
-    composed = compose(dec)
+    # The blocks of compose(dec), whose certificates are compose's to give;
+    # the resolution's own certificate is the verify_resolution below.
     sub_parts, td_parts = embedded_parts(dec)
+    composed = BlockDesign(dec.v, np.concatenate(sub_parts + list(td_parts.values())))
     # Composed block indices of each part's blocks, in the part's order.
-    sub_index = [composed.design.lookup(a) for a in sub_parts]
-    td_index = {triple: composed.design.lookup(a) for triple, a in td_parts.items()}
+    sub_index = [composed.lookup(a) for a in sub_parts]
+    td_index = {triple: composed.lookup(a) for triple, a in td_parts.items()}
     classes = [
         np.concatenate([idx[list(r.classes[j])] for idx, r in zip(sub_index, sub_resolutions)])
         for j in range((m - 1) // 2)
@@ -245,9 +243,7 @@ def compose_resolution(
             for j in range(dec.T)
         ]
     resolution = Resolution(tuple(tuple(np.sort(c).tolist()) for c in classes))
-    rep = verify_resolution(composed.design, resolution)
-    if not rep.ok:
-        raise AssertionError(f"assembled resolution invalid: {rep.violations[0]}")
+    verify_resolution(composed, resolution).require(AssertionError, "assembled resolution invalid")
     return resolution
 
 

@@ -60,11 +60,11 @@ def affine_geometry(k: int) -> AffineGeometry:
     diff = (digits[design.array[:, 1]] - digits[design.array[:, 0]]) % 3
     lead = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]
     direction = (diff * lead[:, None]) % 3 @ weights
-    classes = tuple(tuple(np.flatnonzero(direction == d).tolist()) for d in np.unique(direction))
+    # The directions in use, ascending; a bare np.unique would import numpy.ma.
+    used = np.flatnonzero(np.bincount(direction))
+    classes = tuple(tuple(np.flatnonzero(direction == d).tolist()) for d in used)
     resolution = Resolution(classes)
-    rep = verify_resolution(design, resolution)
-    if not rep.ok:
-        raise AssertionError(f"translation resolution invalid: {rep.violations[0]}")
+    verify_resolution(design, resolution).require(AssertionError, "translation resolution invalid")
     return AffineGeometry(k, sts, resolution)
 
 
@@ -152,9 +152,9 @@ def kts15() -> tuple[StsInstance, Resolution]:
                 blocks.append((a - 1, b - 1, c - 1))
     sts = StsInstance(BlockDesign(15, tuple(blocks)))
     resolution = Resolution(_KTS15_CLASSES)
-    rep = verify_resolution(sts.design, resolution)
-    if not rep.ok:
-        raise AssertionError(f"stored order-15 resolution invalid: {rep.violations[0]}")
+    verify_resolution(sts.design, resolution).require(
+        AssertionError, "stored order-15 resolution invalid"
+    )
     return sts, resolution
 
 

@@ -36,6 +36,13 @@ class VerificationReport:
     def from_violations(violations: list[str]) -> "VerificationReport":
         return VerificationReport(not violations, tuple(violations))
 
+    def require(self, exc: type[Exception], what: str) -> None:
+        """Raise exc(f"{what}: <first violation>") if the report failed: how
+        checked constructors (ValueError) and the certificates of the
+        library's own results (AssertionError) reject what they checked."""
+        if not self.ok:
+            raise exc(f"{what}: {self.violations[0]}")
+
 
 def _sorted_block(b, v: int) -> Block:
     t = tuple(sorted(int(p) for p in b))
@@ -150,9 +157,7 @@ class StsInstance(_DesignView):
     design: BlockDesign
 
     def __post_init__(self):
-        rep = verify_sts(self.design)
-        if not rep.ok:
-            raise ValueError(f"not an STS: {rep.violations[0]}")
+        verify_sts(self.design).require(ValueError, "not an STS")
 
 
 def verify_td(design: BlockDesign, groups: tuple[tuple[int, ...], ...]) -> VerificationReport:
@@ -197,9 +202,7 @@ class TdInstance(_DesignView):
         object.__setattr__(
             self, "groups", tuple(tuple(int(p) for p in g) for g in self.groups)
         )
-        rep = verify_td(self.design, self.groups)
-        if not rep.ok:
-            raise ValueError(f"not a TD: {rep.violations[0]}")
+        verify_td(self.design, self.groups).require(ValueError, "not a TD")
 
     @property
     def w(self) -> int:

@@ -67,50 +67,47 @@ class ExactCover:
         rows = self._rows
         none = len(rows) + 1  # more candidates than any column has
         solutions: list[tuple[int, ...]] = []
-        partial: list[int] = []
         nodes = 0
-        stopped = False
-
-        def search(open_cols: list[int], alive: int) -> bool:
-            """False aborts the whole search (budget hit or enough solutions)."""
-            nonlocal nodes, stopped
+        # Depth-first on an explicit stack, so a solution may have any number
+        # of rows: the loop holds the current node (open columns, alive rows,
+        # untried candidates); `stack` holds each ancestor's plus its row tried.
+        stack: list[tuple[list[int], int, int, int]] = []
+        open_cols, alive = list(range(self.n_cols)), (1 << len(rows)) - 1
+        while True:
+            candidates = 0
             if not open_cols:
-                solutions.append(tuple(sorted(partial)))
+                solutions.append(tuple(sorted(frame[3] for frame in stack)))
                 if len(solutions) >= max_solutions:
-                    stopped = True
-                    return False
-                return True
-            # Fewest alive candidates first; leftmost wins ties, and a
-            # column with none ends this branch at once.
-            best, fewest = -1, none
-            for c in open_cols:
-                count = (masks[c] & alive).bit_count()
-                if count < fewest:
-                    if not count:
-                        return True
-                    best, fewest = c, count
-            candidates = masks[best] & alive
-            while candidates:
-                low = candidates & -candidates
-                candidates ^= low
-                nodes += 1
-                if nodes > node_budget:
-                    stopped = True
-                    return False
-                r = low.bit_length() - 1
-                cols = rows[r]
-                clash = 0
-                for c in cols:
-                    clash |= masks[c]
-                partial.append(r)
-                ok = search([c for c in open_cols if c not in cols], alive & ~clash)
-                partial.pop()
-                if not ok:
-                    return False
-            return True
-
-        search(list(range(self.n_cols)), (1 << len(rows)) - 1)
-        return CoverResult(tuple(solutions), not stopped, nodes)
+                    return CoverResult(tuple(solutions), False, nodes)
+            else:
+                # Fewest alive candidates first; leftmost wins ties, and a
+                # column with none ends this branch at once.
+                best, fewest = -1, none
+                for c in open_cols:
+                    count = (masks[c] & alive).bit_count()
+                    if count < fewest:
+                        if not count:
+                            break
+                        best, fewest = c, count
+                else:
+                    candidates = masks[best] & alive
+            # Back up to the nearest node with a row left to try.
+            while not candidates and stack:
+                open_cols, alive, candidates, _ = stack.pop()
+            if not candidates:
+                return CoverResult(tuple(solutions), True, nodes)
+            low = candidates & -candidates
+            candidates ^= low
+            nodes += 1
+            if nodes > node_budget:
+                return CoverResult(tuple(solutions), False, nodes)
+            r = low.bit_length() - 1
+            cols = rows[r]
+            clash = 0
+            for c in cols:
+                clash |= masks[c]
+            stack.append((open_cols, alive, candidates, r))
+            open_cols, alive = [c for c in open_cols if c not in cols], alive & ~clash
 
 
 def solve_exact_cover(

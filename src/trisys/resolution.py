@@ -73,9 +73,9 @@ def search_resolution(d: BlockDesign, limits: SearchLimits | None = None) -> Sea
     if res_b.solutions:
         chosen = sorted(tuple(classes[i]) for i in res_b.solutions[0])
         resolution = Resolution(tuple(chosen))
-        rep = verify_resolution(d, resolution)
-        if not rep.ok:
-            raise AssertionError(f"search produced an invalid resolution: {rep.violations[0]}")
+        verify_resolution(d, resolution).require(
+            AssertionError, "search produced an invalid resolution"
+        )
         return SearchOutcome(resolution, False, len(classes), nodes)
     budget_exceeded = not (complete_a and res_b.complete)
     return SearchOutcome(None, budget_exceeded, len(classes), nodes)

@@ -177,6 +177,31 @@ def test_malformed_file_exits_2_without_traceback(tmp_path, name):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def test_construct_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs about 17 ms and 1.7 MB to import; nothing on the
+    # compose and force-rank paths needs it.
+    script = (
+        "import sys; from trisys.cli import main\n"
+        "seen = []\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert main(argv.split()) == 0\n"
+        "    seen.append('numpy.ma' in sys.modules)\n"
+        "print(seen)\n"
+    )
+    out = tmp_path / "c"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script,
+         f"construct compose --k 2 --T 7 --out {out}",
+         f"construct force-rank --in {out}.sts.jsonl --out {tmp_path / 'forced'}"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, False]"
+
+
 def test_verify_resolution_with_unknown_block(tmp_path, capsys):
     out = str(tmp_path / "ag2")
     run(capsys, "construct", "ag", "--k", "2", "--out", out)

@@ -164,6 +164,22 @@ def test_resolvable_sts_45_by_composition():
     assert verify_resolution(s.design, r).ok
 
 
+def test_resolvable_sts_45_verifies_its_system_once(monkeypatch):
+    # The composed 45-point system gets one STS certificate: the resolution
+    # is assembled on its blocks, not on a second composed system.
+    from trisys import designs
+
+    seen = []
+
+    def counting(d):
+        seen.append(d.v)
+        return verify_sts(d)
+
+    monkeypatch.setattr(designs, "verify_sts", counting)
+    resolvable_sts(45)
+    assert seen.count(45) == 1
+
+
 def test_resolvable_sts_rejects_wrong_residue():
     with pytest.raises(ValueError):
         resolvable_sts(7)

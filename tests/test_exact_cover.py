@@ -141,3 +141,11 @@ def test_rejected_row_is_not_added():
     assert ec.n_rows == 1
     assert ec.add_row((1,)) == 1
     assert ec.solve(max_solutions=5) == CoverResult(((0, 1),), True, 2)
+
+
+def test_solution_deeper_than_the_recursion_limit():
+    # 1,100 disjoint rows over 3,300 columns: the one solution takes every
+    # row, one search level each, far past Python's default recursion limit.
+    rows = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(1100)]
+    res = solve_exact_cover(3300, rows, max_solutions=2)
+    assert res == CoverResult((tuple(range(1100)),), True, 1100)

@@ -27,6 +27,7 @@ from trisys.designs import (
     canonical_td_groups,
     resolve_td,
     td_from_latin,
+    verify_resolution,
 )
 
 # td_from_latin of the cyclic square of order 3: cell (r, c) -> {r, 3+c, 6+(r+c)%3}.
@@ -105,7 +106,6 @@ def test_compose_resolution_ingredient_failure(name):
 def failing_on(v):
     """A verify_resolution stand-in that fails every triple system on v
     points (v(v-1)/6 blocks) and checks every other design."""
-    from trisys.designs import verify_resolution
 
     def check(d, r):
         if d.v == v and len(d.blocks) == v * (v - 1) // 6:
