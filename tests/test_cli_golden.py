@@ -158,3 +158,32 @@ def test_verify_rank_report_golden(verify_inputs, capsys, case):
     capsys.readouterr()
     assert main(["verify", str(path), "--orthogonal-to", vk, "--rank", str(p)]) == 0
     assert capsys.readouterr().out.strip() == VERIFY_LINES[case]
+
+
+# `construct sts --T T` summary lines and files, recorded while the stock
+# Skolem (T = 7, 13) and Bose (T = 9, 15) systems were built block by
+# block as sorted tuples.
+STS_DIGESTS = {
+    7: ("v=7 blocks=7 rank3=6 resolution=none",
+        "d802bf8ceefb1c476b186f1a6131d98b5ef7c1c868ee6604c3ad273a896805d6"),
+    9: ("v=9 blocks=12 rank3=6 resolution=none",
+        "e353d4c60f86325544121522b943c2370fee8a4d307d9e18a384506c523b6f68"),
+    13: ("v=13 blocks=26 rank3=12 resolution=none",
+         "89a7b05afab3808c1ed39de811fbb21660ca0b03a94e22915668b3a311d73a23"),
+    15: ("v=15 blocks=35 rank3=14 resolution=none",
+         "0b380b55aa6523bebb14809e8e28855d9db61f615beb4478c516096f1269432d"),
+}
+
+
+@pytest.mark.parametrize("T", sorted(STS_DIGESTS))
+def test_construct_sts_golden(tmp_path, capsys, T):
+    out = tmp_path / f"s{T}"
+    assert main(["construct", "sts", "--T", str(T), "--out", str(out)]) == 0
+    assert capsys.readouterr() == (STS_DIGESTS[T][0] + "\n", "")
+    assert sha256(tmp_path / f"s{T}.sts.jsonl") == STS_DIGESTS[T][1]
+
+
+def test_construct_sts_rejects_inadmissible_order(tmp_path, capsys):
+    assert main(["construct", "sts", "--T", "5", "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr() == ("", "error: --T must be 1 or 3 (mod 6)\n")
+    assert not list(tmp_path.iterdir())
