@@ -81,37 +81,29 @@ def latin_with_mate(t: int) -> tuple[LatinSquare, LatinSquare]:
 
 def _bose(n: int) -> StsInstance:
     """Order 3n for odd n: points Z_n x {0,1,2}, label (x, j) -> j*n + x."""
-    half = (n + 1) // 2  # inverse of 2 mod n
-    blocks = [(x, n + x, 2 * n + x) for x in range(n)]
+    x = np.arange(n)
+    a, b = np.triu_indices(n, 1)
+    z = (a + b) * ((n + 1) // 2) % n  # (n + 1) / 2 is the inverse of 2 mod n
+    blocks = [np.stack([x, n + x, 2 * n + x], axis=1)]
     for j in range(3):
-        for x in range(n):
-            for y in range(x + 1, n):
-                z = ((x + y) * half) % n
-                blocks.append(
-                    tuple(sorted((j * n + x, j * n + y, ((j + 1) % 3) * n + z)))
-                )
-    return StsInstance(BlockDesign(3 * n, tuple(blocks)))
+        up = (j + 1) % 3 * n
+        blocks.append(np.stack([j * n + a, j * n + b, up + z], axis=1))
+    return StsInstance(BlockDesign(3 * n, np.concatenate(blocks)))
 
 
 def _skolem(t: int) -> StsInstance:
     """Order 6t+1: points (Z_2t x {0,1,2}) + one extra, label (x, j) -> j*2t + x."""
     n = 2 * t
-    inf = 3 * n
-
-    def q(x, y):  # commutative half-idempotent quasigroup on Z_2t
-        s = (x + y) % n
-        return s // 2 if s % 2 == 0 else t + (s - 1) // 2
-
-    blocks = [(x, n + x, 2 * n + x) for x in range(t)]
+    x = np.arange(t)
+    a, b = np.triu_indices(n, 1)
+    s = (a + b) % n
+    q = s // 2 + t * (s % 2)  # commutative half-idempotent quasigroup on Z_2t
+    blocks = [np.stack([x, n + x, 2 * n + x], axis=1)]
     for j in range(3):
-        for x in range(t):
-            blocks.append(tuple(sorted((inf, j * n + t + x, ((j + 1) % 3) * n + x))))
-        for x in range(n):
-            for y in range(x + 1, n):
-                blocks.append(
-                    tuple(sorted((j * n + x, j * n + y, ((j + 1) % 3) * n + q(x, y))))
-                )
-    return StsInstance(BlockDesign(6 * t + 1, tuple(blocks)))
+        up = (j + 1) % 3 * n
+        blocks.append(np.stack([np.full(t, 3 * n), j * n + t + x, up + x], axis=1))
+        blocks.append(np.stack([j * n + a, j * n + b, up + q], axis=1))
+    return StsInstance(BlockDesign(6 * t + 1, np.concatenate(blocks)))
 
 
 def small_sts(t: int) -> StsInstance:
@@ -144,13 +136,10 @@ def kts15() -> tuple[StsInstance, Resolution]:
     The constant class list is untrusted input here: both the triple-system
     axioms and the resolution are re-checked before returning.
     """
-    blocks = []
-    for a in range(1, 16):
-        for b in range(a + 1, 16):
-            c = a ^ b
-            if c > b:
-                blocks.append((a - 1, b - 1, c - 1))
-    sts = StsInstance(BlockDesign(15, tuple(blocks)))
+    a, b = np.triu_indices(16, 1)
+    c = a ^ b
+    keep = c > b  # also drops code a = 0, for which c = b
+    sts = StsInstance(BlockDesign(15, np.stack([a[keep], b[keep], c[keep]], axis=1) - 1))
     resolution = Resolution(_KTS15_CLASSES)
     verify_resolution(sts.design, resolution).require(
         AssertionError, "stored order-15 resolution invalid"

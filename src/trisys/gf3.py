@@ -187,9 +187,11 @@ def is_orthogonal(design, s: Subspace) -> bool:
 def permute_columns(m: np.ndarray, image) -> np.ndarray:
     """Move column i to position image[i] (the point-permutation action)."""
     a = as_matrix(m, 3)
-    out = np.empty_like(a)
-    out[:, np.asarray(image, dtype=np.int64)] = a
-    return out
+    image = np.asarray(image, dtype=np.int64)
+    order = np.argsort(image)
+    if not np.array_equal(image[order], np.arange(a.shape[1])):
+        raise ValueError("image is not a permutation of the columns")
+    return a[:, order]
 
 
 def permute_subspace(s: Subspace, image) -> Subspace:

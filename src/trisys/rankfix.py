@@ -13,7 +13,6 @@ orthogonal to every block of the new sub-system.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +43,7 @@ class PointPermutation:
         return PointPermutation(n, tuple(range(n)))
 
     def inverse(self) -> "PointPermutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.image):
-            inv[j] = i
-        return PointPermutation(self.n, tuple(inv))
+        return PointPermutation(self.n, np.argsort(self.image))
 
     def after(self, other: "PointPermutation") -> "PointPermutation":
         """Composite permutation: first `other`, then self."""
@@ -76,21 +72,24 @@ def _extend_basis(rows: np.ndarray, d: gf3.Subspace) -> np.ndarray | None:
     return d.basis[np.array(pivots[n:], dtype=np.intp) - n]
 
 
-def _layout_sort(rows: np.ndarray, dims: int) -> PointPermutation:
-    """Check that the columns of rows take each of the 3^dims tuple values
-    equally often, then sort the positions stably by column tuple
-    (image[i] = rank of i)."""
-    tuples = [tuple(int(x) for x in rows[:, j]) for j in range(rows.shape[1])]
-    n = len(tuples)
-    if n % 3**dims != 0:
-        raise StructureViolation(f"{3**dims} tuple values cannot split {n} columns evenly")
-    counts = Counter(tuples)
-    if len(counts) != 3**dims or any(c != n // 3**dims for c in counts.values()):
+def _layout_sort(rows: np.ndarray) -> PointPermutation:
+    """The positions sorted stably by column tuple (image[i] = rank of i),
+    after checking that the columns take all 3^len(rows) tuple values
+    equally often, as the columns of a relabeled layout code do.
+
+    A column read as a base-3 number, first row most significant, sorts
+    like its tuple.  Divisibility is checked first, so that 3^len(rows)
+    is at most n and no code can overflow."""
+    n = rows.shape[1]
+    values = 3 ** len(rows)
+    if n % values != 0:
+        raise StructureViolation(f"{values} tuple values cannot split {n} columns evenly")
+    codes = 3 ** np.arange(len(rows) - 1, -1, -1) @ rows
+    if (np.bincount(codes, minlength=values) != n // values).any():
         raise StructureViolation(
             "column tuples are not uniformly distributed over the value space"
         )
-    # order[new position] = old position; the sort is stable.
-    return PointPermutation(n, tuple(sorted(range(n), key=tuples.__getitem__))).inverse()
+    return PointPermutation(n, np.argsort(codes, kind="stable")).inverse()
 
 
 def _dual_layout(d: gf3.Subspace) -> PointPermutation:
@@ -102,7 +101,7 @@ def _dual_layout(d: gf3.Subspace) -> PointPermutation:
         raise StructureViolation(
             "dual space does not contain the all-one vector (corrupt design data)"
         )
-    return _layout_sort(rows, d.dim - 1)
+    return _layout_sort(rows)
 
 
 def dual_canonicalize(s: StsInstance) -> tuple[PointPermutation, int]:
@@ -146,10 +145,13 @@ def mix_matrix(t: int) -> np.ndarray:
 def perm_intersection(T: int, t: int) -> PointPermutation:
     """A coordinate permutation pi with dim(G(T,t) ∩ pi(G(T,t))) = 1.
 
-    t = 0 is the identity; t = 1 interleaves the three thirds; t >= 2
-    routes chosen tuple columns so the stacked generators contain a full
-    rank (2t+1)-minor, with unconstrained positions mapped first-fit in
-    increasing order.  The result is verified before returning.
+    t = 0 is the identity; t = 1 interleaves the three thirds.  For
+    t >= 2, the columns of G(T,t) come in blocks of T/3^t equal tuples; pi
+    fixes the first column of the zero tuple's block and sends that of
+    column i of mix_matrix(t) to e_i's and e_i's to 2e_i's, which puts a
+    full rank (2t+1)-minor in the stacked generators.  No other position
+    is constrained, so the rest map first-fit in increasing order.  The
+    result is verified before returning.
     """
     if t < 0 or T % 3**t != 0:
         raise ValueError(f"3^t must divide T, got T={T}, t={t}")
@@ -158,35 +160,17 @@ def perm_intersection(T: int, t: int) -> PointPermutation:
     if t == 0:
         return PointPermutation.identity(T)
     if t == 1:
-        third = T // 3
-        image = [3 * (i % third) + i // third for i in range(T)]
-        pi = PointPermutation(T, tuple(image))
+        i = np.arange(T)
+        image = 3 * (i % (T // 3)) + i // (T // 3)
     else:
-        m = T // 3**t
-        c = mix_matrix(t)
-
-        # The first column of the block of tuple columns equal to tup.
-        weights = 3 ** np.arange(t - 1, -1, -1) * m
-
-        def pos(tup) -> int:
-            return int(np.dot(tup, weights))
-
-        mapping: dict[int, int] = {0: 0}
-        for i in range(1, t + 1):
-            e_i = tuple(1 if j == i - 1 else 0 for j in range(t))
-            two_e_i = tuple(2 if j == i - 1 else 0 for j in range(t))
-            col = tuple(int(x) for x in c[:, i - 1])
-            mapping[pos(col)] = pos(e_i)
-            mapping[pos(e_i)] = pos(two_e_i)
-        free_src = [i for i in range(T) if i not in mapping]
-        used_dst = set(mapping.values())
-        free_dst = [i for i in range(T) if i not in used_dst]
-        image = [0] * T
-        for src, dst in mapping.items():
-            image[src] = dst
-        for src, dst in zip(free_src, free_dst):
-            image[src] = dst
-        pi = PointPermutation(T, tuple(image))
+        # The block of tuple columns equal to x starts at x @ w.
+        w = 3 ** np.arange(t - 1, -1, -1) * (T // 3**t)
+        src = np.concatenate([[0], mix_matrix(t).T @ w, w])
+        dst = np.concatenate([[0], w, 2 * w])
+        image = np.full(T, -1)
+        image[src] = dst
+        image[image < 0] = np.flatnonzero(np.bincount(dst, minlength=T) == 0)
+    pi = PointPermutation(T, image)
     g = gf3.row_space(gf3.generator_gvk(T, t))
     if gf3.intersect_dim(g, pi.apply_subspace(g)) != 1:
         raise AssertionError("intersection permutation failed verification")
@@ -239,7 +223,7 @@ def force_exact_rank(d: Decomposition) -> StsInstance:
     if extension is None:
         raise AssertionError("composed system lost orthogonality to its layout code")
     kprime = dual_minus.dim - 1
-    tau0 = _layout_sort(extension[:, :t_order], kprime - k)
+    tau0 = _layout_sort(extension[:, :t_order])
 
     sigma, l = dual_canonicalize(d.sub_systems[0])
     level = max(l if l >= 0 else 0, kprime - k)

@@ -28,6 +28,11 @@ class SearchLimits:
     node_budget: int = 10**8
     max_classes: int = 10**6
 
+    def __post_init__(self):
+        for name in ("node_budget", "max_classes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class SearchOutcome:

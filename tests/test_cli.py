@@ -124,6 +124,32 @@ def test_resolve_absence_exits_3(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--node-budget", "-5", "node_budget must be >= 0, got -5"),
+    ("--max-classes", "-1", "max_classes must be >= 0, got -1"),
+])
+def test_resolve_negative_limit_exits_2(tmp_path, capsys, option, value, message):
+    out = str(tmp_path / "n")
+    run(capsys, "construct", "compose", "--k", "1", "--T", "3", "--out", out)
+    code, stdout, err = run(
+        capsys, "construct", "resolve", "--in", f"{out}.sts.jsonl",
+        "--out", str(tmp_path / "r"), option, value,
+    )
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "r.resolution.jsonl").exists()
+
+
+def test_resolve_zero_budget_is_a_search_failure(tmp_path, capsys):
+    out = str(tmp_path / "z")
+    run(capsys, "construct", "compose", "--k", "1", "--T", "3", "--out", out)
+    code, _, err = run(
+        capsys, "construct", "resolve", "--in", f"{out}.sts.jsonl",
+        "--out", str(tmp_path / "r"), "--node-budget", "0",
+    )
+    assert code == 3
+    assert err == "resolution search failed: budget exceeded after 1 nodes, 0 parallel classes\n"
+
+
 def test_verify_duplicate_block_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(

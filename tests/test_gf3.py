@@ -160,6 +160,16 @@ def test_subspace_canonical_equality():
     assert hash(a) == hash(b)
 
 
+@pytest.mark.parametrize("image", [[0, 0, 1], [2, 2, 2], [0, 1], [0, 1, 2, 3], [0, 1, 3]])
+def test_permute_rejects_non_bijection(image):
+    # A repeated target once left an output column as uninitialised memory.
+    with pytest.raises(ValueError, match="not a permutation"):
+        gf3.permute_columns(np.array([[1, 2, 0], [0, 1, 1]]), image)
+    s = gf3.row_space(np.array([[1, 1, 1], [0, 1, 2]]))
+    with pytest.raises(ValueError, match="not a permutation"):
+        gf3.permute_subspace(s, image)
+
+
 def test_permute_columns_roundtrip():
     rng = random.Random(3)
     m = np.array([[rng.randrange(3) for _ in range(6)] for _ in range(2)], dtype=int)

@@ -7,6 +7,13 @@ from trisys.designs import verify_resolution
 from trisys.resolution import SearchLimits, find_resolution, search_resolution
 
 
+@pytest.mark.parametrize("field", ["node_budget", "max_classes"])
+def test_search_limits_reject_negative_values(field):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 0, got -1$"):
+        SearchLimits(**{field: -1})
+    assert getattr(SearchLimits(**{field: 0}), field) == 0
+
+
 def test_find_resolution_affine_9():
     ag = affine_geometry(2)
     res = find_resolution(ag.sts)
