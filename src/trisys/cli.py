@@ -47,7 +47,7 @@ EXIT_IO = 4
 
 def _summary(s: StsInstance, rank3: int, resolution_attached: bool) -> str:
     res = "attached" if resolution_attached else "none"
-    return f"v={s.v} blocks={len(s.blocks)} rank3={rank3} resolution={res}"
+    return f"v={s.v} blocks={len(s.array)} rank3={rank3} resolution={res}"
 
 
 def _cmd_construct(args) -> int:

@@ -46,11 +46,6 @@ def ag_blocks(k: int) -> tuple[Triple, ...]:
     return affine_geometry(k).sts.design.blocks
 
 
-def _check_td(td: TdInstance, t: int, where: str) -> None:
-    if td.w != t or td.groups != canonical_td_groups(t):
-        raise ValueError(f"{where}: TD must have canonical groups of size {t}")
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Ingredients of a composed system at split level t (0 <= t <= k):
@@ -93,7 +88,8 @@ class Decomposition:
         if set(self.tds) != set(outer):
             raise ValueError("TD keys must be exactly the cross-group triples")
         for key, td in self.tds.items():
-            _check_td(td, self.T, f"triple {key}")
+            if td.w != self.T or td.groups != canonical_td_groups(self.T):
+                raise ValueError(f"triple {key}: TD must have canonical groups of size {self.T}")
 
     @property
     def v(self) -> int:
@@ -237,7 +233,7 @@ def compose_resolution(
         for j in range((m - 1) // 2)
     ]
     for outer_cls in outer_resolution.classes:
-        triples = [outer.blocks[i] for i in outer_cls]
+        triples = [tuple(b) for b in outer.array[list(outer_cls)].tolist()]
         classes += [
             np.concatenate([td_index[tr][list(td_resolutions[tr].classes[j])] for tr in triples])
             for j in range(dec.T)

@@ -1,12 +1,12 @@
 """Triple systems, transversal designs, Latin squares, resolutions.
 
-A BlockDesign takes its blocks as triples or a (b, 3) int array and holds
-them as one read-only int64 array (`array`: rows sorted, in lexicographic
-order), built in one pass.  Code that builds or reads block sets works on
-the array; `blocks`, the same set as sorted 3-tuples, is the tuple view
-for equality, hashing and output, and `lookup` finds blocks by binary
-search on their codes.  The STS and TD axioms are one check on the array:
-every required pair p < q, coded p*v + q, must occur in exactly one block.
+A BlockDesign takes its blocks as triples or a (b, 3) int array and stores
+them once, as one read-only int64 array (`array`: rows sorted, in
+lexicographic order) on which code computes, compares and hashes; `blocks`,
+the sorted 3-tuple view, is computed on each access, for output only, and
+`lookup` finds blocks by binary search on their codes.  The STS and TD
+axioms are one check on the array: every required pair p < q, coded
+p*v + q, must occur in exactly one block.
 StsInstance, TdInstance and LatinSquare validate their axioms on
 construction; the verify_* functions report on untrusted input.
 
@@ -58,13 +58,12 @@ class BlockDesign:
     """A point set 0..v-1 plus a sorted, duplicate-free set of 3-blocks."""
 
     v: int
-    blocks: tuple[Block, ...]
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    array: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.v < 0:
             raise ValueError(f"negative point count v={self.v}")
-        blocks = self.blocks if isinstance(self.blocks, np.ndarray) else tuple(self.blocks)
+        blocks = self.array if isinstance(self.array, np.ndarray) else tuple(self.array)
         try:
             a = np.sort(np.array(blocks, dtype=np.int64), axis=-1)
         except (TypeError, ValueError, OverflowError):
@@ -81,7 +80,18 @@ class BlockDesign:
             raise ValueError(f"duplicate block {tuple(a[repeated.argmax()].tolist())!r}")
         a.flags.writeable = False
         object.__setattr__(self, "array", a)
-        object.__setattr__(self, "blocks", tuple(zip(*a.T.tolist())))
+
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        return tuple(zip(*self.array.T.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BlockDesign):
+            return NotImplemented
+        return self.v == other.v and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.v, self.array.tobytes()))
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
         """Indices into `array` of the blocks given as sorted rows of an
@@ -179,15 +189,15 @@ def verify_td(design: BlockDesign, groups: tuple[tuple[int, ...], ...]) -> Verif
     met = group_of[design.array]
     transversal = (met[:, 0] != met[:, 1]) & (met[:, 0] != met[:, 2]) & (met[:, 1] != met[:, 2])
     violations = [
-        f"block {design.blocks[i]} does not meet every group exactly once"
-        for i in np.flatnonzero(~transversal).tolist()
+        f"block {tuple(b)} does not meet every group exactly once"
+        for b in design.array[~transversal].tolist()
     ]
     # Cross pairs group pair by group pair, in the order the groups list them.
     p, q = g[[0, 0, 1], :, None], g[[1, 2, 2], None, :]
     cross = (np.minimum(p, q) * design.v + np.maximum(p, q)).ravel()
     violations += _pair_faults(design.v, design.array[transversal], cross, "cross pair")
-    if len(design.blocks) != w * w:
-        violations.append(f"expected {w * w} blocks, got {len(design.blocks)}")
+    if len(design.array) != w * w:
+        violations.append(f"expected {w * w} blocks, got {len(design.array)}")
     return VerificationReport.from_violations(violations)
 
 
@@ -228,7 +238,8 @@ class Resolution:
 def verify_resolution(d: BlockDesign, r: Resolution) -> VerificationReport:
     """Check that each class partitions the points and the classes the blocks."""
     violations = []
-    n = len(d.blocks)
+    rows = d.array.tolist()
+    n = len(rows)
     seen: dict[int, int] = {}
     for ci, cls in enumerate(r.classes):
         pts: list[int] = []
@@ -237,11 +248,9 @@ def verify_resolution(d: BlockDesign, r: Resolution) -> VerificationReport:
                 violations.append(f"class {ci}: block index {idx} out of range")
                 continue
             if idx in seen:
-                violations.append(
-                    f"block index {idx} in classes {seen[idx]} and {ci}"
-                )
+                violations.append(f"block index {idx} in classes {seen[idx]} and {ci}")
             seen[idx] = ci
-            pts.extend(d.blocks[idx])
+            pts.extend(rows[idx])
         if sorted(pts) != list(range(d.v)):
             violations.append(f"class {ci} is not a partition of the points")
     missing = n - len(seen)
@@ -297,9 +306,6 @@ class LatinSquare:
         for c in range(self.order):
             if sorted(row[c] for row in self.cells) != full:
                 raise ValueError(f"column {c} is not a permutation")
-
-    def __getitem__(self, rc: tuple[int, int]) -> int:
-        return self.cells[rc[0]][rc[1]]
 
 
 def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:

@@ -148,16 +148,11 @@ def null_basis(r: np.ndarray, pivots: list[int], p: int = 3) -> np.ndarray:
     return basis
 
 
-def null_space(m, p: int = 3) -> Subspace:
-    """Right null space over GF(p): all x with m @ x = 0.
-
-    Only GF(3) null spaces are wrapped as Subspace values; dim equals
-    cols - rank (rank-nullity).
-    """
-    if p != 3:
-        raise ValueError("null_space is provided over GF(3) only")
-    r, pivots = rref(m, p)
-    return Subspace.from_rows(null_basis(r, pivots, p), r.shape[1])
+def null_space(m) -> Subspace:
+    """Right null space over GF(3): all x with m @ x = 0; dim equals
+    cols - rank (rank-nullity)."""
+    r, pivots = rref(m, 3)
+    return Subspace.from_rows(null_basis(r, pivots), r.shape[1])
 
 
 def intersect_dim(a: Subspace, b: Subspace) -> int:

@@ -81,23 +81,26 @@ def deserialize(text: str) -> DesignFileRecord:
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
 
-    v, k, t = parse(0, lambda h: (int(h["v"]), *(int(h[x]) if x in h else None for x in "kT")))
+    v, k, t = parse(0, lambda h: (_int(h["v"]), *(_int(h[x]) if x in h else None for x in "kT")))
     second = parse(1) if len(lines) > 1 else None
     groups = None
     if isinstance(second, dict):
         if "groups" not in second:
             raise ValueError("unexpected object record in body")
-        groups = parse(1, lambda r: tuple(_ints(g) for g in r["groups"]))
+        groups = parse(1, lambda r: tuple(tuple(map(_int, g)) for g in r["groups"]))
     body = range(1 if groups is None else 2, len(lines))
     if kind == "resolution":
-        classes = tuple(parse(i, lambda c: tuple(_ints(b) for b in c)) for i in body)
+        classes = tuple(parse(i, lambda c: tuple(tuple(map(_int, b)) for b in c)) for i in body)
         return DesignFileRecord(kind, v, k, t, (), classes, groups)
-    blocks = tuple(parse(i, _ints) for i in body)
+    blocks = tuple(parse(i, lambda b: tuple(map(_int, b))) for i in body)
     return DesignFileRecord(kind, v, k, t, blocks, (), groups)
 
 
-def _ints(values) -> tuple[int, ...]:
-    return tuple(int(p) for p in values)
+def _int(x) -> int:
+    """A JSON integer as is; a float, string, bool or null is malformed."""
+    if type(x) is not int:
+        raise TypeError(f"not an integer: {x!r}")
+    return x
 
 
 def write_design(path: str, rec: DesignFileRecord) -> None:
@@ -120,7 +123,8 @@ def td_record(td: TdInstance) -> DesignFileRecord:
 
 
 def resolution_record(d: BlockDesign, r: Resolution) -> DesignFileRecord:
-    classes = tuple(tuple(d.blocks[i] for i in cls) for cls in r.classes)
+    blocks = d.blocks
+    classes = tuple(tuple(blocks[i] for i in cls) for cls in r.classes)
     return DesignFileRecord("resolution", d.v, None, None, (), classes)
 
 

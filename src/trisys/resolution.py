@@ -51,17 +51,14 @@ def enumerate_parallel_classes(
     d: BlockDesign, max_classes: int = 10**6, node_budget: int = 10**8
 ) -> tuple[tuple[tuple[int, ...], ...], bool, int]:
     """All block-index sets partitioning the points; (classes, complete, nodes)."""
+    SearchLimits(node_budget, max_classes)  # a negative limit is a ValueError
     if d.v % 3 != 0:
         return ((), True, 0)
     res = solve_exact_cover(
-        d.v, d.blocks, max_solutions=max_classes + 1, node_budget=node_budget
+        d.v, d.array.tolist(), max_solutions=max_classes + 1, node_budget=node_budget
     )
-    classes = res.solutions
-    complete = res.complete
-    if len(classes) > max_classes:
-        classes = classes[:max_classes]
-        complete = False
-    return (classes, complete, res.nodes)
+    complete = res.complete and len(res.solutions) <= max_classes
+    return (res.solutions[:max_classes], complete, res.nodes)
 
 
 def search_resolution(d: BlockDesign, limits: SearchLimits | None = None) -> SearchOutcome:
@@ -71,9 +68,7 @@ def search_resolution(d: BlockDesign, limits: SearchLimits | None = None) -> Sea
         d, limits.max_classes, limits.node_budget
     )
     remaining = max(limits.node_budget - nodes_a, 0)
-    res_b = solve_exact_cover(
-        len(d.blocks), classes, max_solutions=1, node_budget=remaining
-    )
+    res_b = solve_exact_cover(len(d.array), classes, max_solutions=1, node_budget=remaining)
     nodes = nodes_a + res_b.nodes
     if res_b.solutions:
         chosen = sorted(tuple(classes[i]) for i in res_b.solutions[0])

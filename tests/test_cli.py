@@ -203,6 +203,33 @@ def test_malformed_file_exits_2_without_traceback(tmp_path, name):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+NOT_INTEGERS = {
+    "float-v": ('{"format_version":"1","kind":"sts","v":3.7}\n[0,1,2]\n', 1),
+    "bool-v": ('{"format_version":"1","kind":"sts","v":true}\n', 1),
+    "string-k": ('{"format_version":"1","kind":"decomposition","v":9,"k":"1"}\n', 1),
+    "float-T": ('{"format_version":"1","kind":"td","v":3,"T":1.0}\n', 1),
+    "float-and-string-points": ('{"format_version":"1","kind":"sts","v":3}\n[0.9,1.2,"2"]\n', 2),
+    "bool-point": ('{"format_version":"1","kind":"sts","v":3}\n[false,true,2]\n', 2),
+    "string-block": ('{"format_version":"1","kind":"sts","v":3}\n"012"\n', 2),
+    "float-group-point": (
+        '{"format_version":"1","kind":"td","v":3,"T":1}\n{"groups":[[0],[1.0],[2]]}\n', 2
+    ),
+    "string-class-point": (
+        '{"format_version":"1","kind":"resolution","v":3}\n[[0,1,"2"]]\n', 2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_INTEGERS))
+def test_design_file_numbers_must_be_json_integers(tmp_path, capsys, name):
+    text, record = NOT_INTEGERS[name]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(text, encoding="utf-8")
+    code, stdout, err = run(capsys, "verify", str(bad))
+    line = text.splitlines()[record - 1]
+    assert (code, stdout, err) == (2, "", f"error: malformed record {record}: {line}\n")
+
+
 def test_construct_does_not_import_numpy_ma(tmp_path):
     # numpy.ma costs about 17 ms and 1.7 MB to import; nothing on the
     # compose and force-rank paths needs it.

@@ -1,9 +1,13 @@
 """Design types, axiom verifiers, p-rank, Latin square machinery."""
 
+import random
+import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from trisys.composition import compose, random_decomposition
 from trisys.constructions import affine_geometry, latin_with_mate, small_sts
 from trisys.designs import (
     BlockDesign,
@@ -28,6 +32,32 @@ FANO = ((0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (0, 4, 5), (1, 5, 6), (0, 2,
 def test_block_design_normalizes_and_sorts():
     d = BlockDesign(5, ((4, 2, 0), (3, 1, 0)))
     assert d.blocks == ((0, 1, 3), (0, 2, 4))
+
+
+def test_block_design_stores_its_blocks_once():
+    a = compose(random_decomposition(4, 7, random.Random(1))).array
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        d = BlockDesign(567, a)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 1.5 * a.nbytes
+    assert "blocks" not in vars(d)
+    assert d.blocks == tuple(map(tuple, a.tolist()))
+
+
+def test_block_design_equality_and_hash_follow_the_array():
+    from_triples = BlockDesign(7, FANO)
+    from_array = BlockDesign(7, np.array(FANO[::-1]))
+    assert from_triples == from_array
+    assert hash(from_triples) == hash(from_array)
+    assert {from_triples, from_array} == {from_triples}
+    assert BlockDesign(8, FANO) != from_triples
+    assert BlockDesign(7, FANO[1:]) != from_triples
+    assert from_triples != FANO
+    assert from_triples != StsInstance(from_triples)
 
 
 def test_block_design_rejects_bad_blocks():

@@ -4,7 +4,12 @@ import pytest
 
 from trisys.constructions import affine_geometry, small_sts
 from trisys.designs import verify_resolution
-from trisys.resolution import SearchLimits, find_resolution, search_resolution
+from trisys.resolution import (
+    SearchLimits,
+    enumerate_parallel_classes,
+    find_resolution,
+    search_resolution,
+)
 
 
 @pytest.mark.parametrize("field", ["node_budget", "max_classes"])
@@ -12,6 +17,15 @@ def test_search_limits_reject_negative_values(field):
     with pytest.raises(ValueError, match=f"^{field} must be >= 0, got -1$"):
         SearchLimits(**{field: -1})
     assert getattr(SearchLimits(**{field: 0}), field) == 0
+
+
+@pytest.mark.parametrize("field", ["node_budget", "max_classes"])
+def test_parallel_classes_reject_negative_limits(field):
+    d = affine_geometry(2).sts.design
+    with pytest.raises(ValueError, match=f"^{field} must be >= 0, got -1$"):
+        enumerate_parallel_classes(d, **{field: -1})
+    classes, complete, nodes = enumerate_parallel_classes(d, **{field: 0})
+    assert (classes, complete) == ((), False)
 
 
 def test_find_resolution_affine_9():
