@@ -303,6 +303,25 @@ def test_bound_thm1_zero(capsys):
     assert "floor: 0" in stdout
 
 
+def test_bound_thm1prime(capsys):
+    code, stdout, err = run(
+        capsys, "bound", "thm1prime", "--T", "7", "--k", "2",
+        "--n1", "38102400", "--n3", "435456000",
+    )
+    assert (code, err) == (0, "")
+    assert stdout == (
+        "formula: thm1prime\nT: 7\nk: 2\nM: 9\nn1_resolvable: 38102400\n"
+        "n3_resolvable: 435456000\n"
+        "numerator: 206514239650158688465235083769223959856261363700991390536672031509"
+        "10681867142164765607072547127944526722064449536000000000000000000000000000"
+        "0000000000000000000000000\n"
+        "denominator: 906480726958291284507230208000000000\n"
+        "floor: 22781977984586621977507500541275514238157147548599894514706478542804713"
+        "8177836562513920000000000000000000000000000000000000000000\n"
+        "digits: 129\nhypothesis: ok\n"
+    )
+
+
 def test_bound_thm2_requires_n1hat(capsys):
     code, _, err = run(capsys, "bound", "thm2", "--T", "7", "--k", "2")
     assert code == 2
@@ -316,3 +335,4 @@ def test_cli_deterministic_output(tmp_path, capsys):
     fa = (tmp_path / "a.sts.jsonl").read_bytes()
     fb = (tmp_path / "b.sts.jsonl").read_bytes()
     assert fa == fb
+

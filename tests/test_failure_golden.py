@@ -14,24 +14,50 @@ import re
 
 import pytest
 
-from trisys import composition, constructions, resolution
+from trisys import bounds, composition, constructions, gf3, rankfix, resolution
 from trisys.cli import main
 from trisys.composition import Decomposition, compose_resolution
-from trisys.constructions import affine_geometry, kts15, latin_with_mate, small_sts
+from trisys.constructions import (
+    affine_geometry,
+    kts15,
+    latin_with_mate,
+    resolvable_sts,
+    small_sts,
+)
 from trisys.designs import (
     BlockDesign,
+    LatinSquare,
     Resolution,
     StsInstance,
     TdInstance,
     VerificationReport,
+    are_orthogonal,
     canonical_td_groups,
+    permute_design,
     resolve_td,
     td_from_latin,
     verify_resolution,
 )
+from trisys.io import DesignFileRecord, serialize
 
 # td_from_latin of the cyclic square of order 3: cell (r, c) -> {r, 3+c, 6+(r+c)%3}.
 TD3 = tuple((r, 3 + c, 6 + (r + c) % 3) for r in range(3) for c in range(3))
+# AG(2) with points 2 and 3 swapped: an STS, not orthogonal to G(9,1).
+SWAPPED_AG2 = (
+    (0, 1, 3), (0, 2, 6), (0, 4, 8), (0, 5, 7), (1, 2, 8), (1, 4, 7),
+    (1, 5, 6), (2, 3, 7), (3, 4, 6), (3, 5, 8), (2, 4, 5), (6, 7, 8),
+)
+
+
+def order3_parts(**change):
+    """Decomposition(k=1, T=3) of three order-3 systems, with `change`
+    replacing any of its arguments."""
+    args = {
+        "k": 1, "T": 3, "sub_systems": (small_sts(3),) * 3,
+        "tds": {(0, 1, 2): td_from_latin(latin_with_mate(3)[0])},
+    }
+    return lambda: Decomposition(**{**args, **change})
+
 
 CONSTRUCTOR_CASES = {
     "sts-overcovered": (
@@ -49,6 +75,33 @@ CONSTRUCTOR_CASES = {
     "td-two-groups": (
         lambda: TdInstance(BlockDesign(9, TD3), canonical_td_groups(3)[:2]),
         "not a TD: expected 3 groups, got 2",
+    ),
+    "decomposition-split-above-k": (
+        order3_parts(t=2), "need 0 <= t <= k and T >= 1, got k=1, t=2, T=3",
+    ),
+    "decomposition-sub-system-count": (
+        order3_parts(sub_systems=(small_sts(3),) * 2), "expected 3 sub-systems, got 2",
+    ),
+    "decomposition-sub-system-order": (
+        order3_parts(sub_systems=(small_sts(3), small_sts(3), small_sts(7))),
+        "sub-system 2 has order 7, expected 3",
+    ),
+    "decomposition-sub-system-not-orthogonal": (
+        order3_parts(t=1, sub_systems=(StsInstance(BlockDesign(9, SWAPPED_AG2)),), tds={}),
+        "sub-system 0 is not orthogonal to its local G(9,1)",
+    ),
+    "decomposition-td-keys": (
+        order3_parts(tds={}), "TD keys must be exactly the cross-group triples",
+    ),
+    "decomposition-td-order": (
+        order3_parts(tds={(0, 1, 2): td_from_latin(latin_with_mate(7)[0])}),
+        "triple (0, 1, 2): TD must have canonical groups of size 3",
+    ),
+    "latin-row-count": (
+        lambda: LatinSquare(3, ((0, 1, 2), (1, 2, 0))), "wrong number of rows",
+    ),
+    "latin-row-not-permutation": (
+        lambda: LatinSquare(2, ((0, 0), (1, 1))), "row (0, 0) is not a permutation",
     ),
 }
 
@@ -90,7 +143,90 @@ INGREDIENT_CASES = {
         {"outer_resolution": Resolution(((0,), (0,)))},
         "invalid outer resolution: block index 0 in classes 0 and 1",
     ),
+    "count": (
+        {"sub_resolutions": (Resolution(((0,),)),) * 2},
+        "one resolution per sub-system is required",
+    ),
 }
+
+
+# The input checks of library functions: name -> (call, exception type, text).
+INPUT_CASES = {
+    "as-matrix-scalar": (lambda: gf3.as_matrix(5), ValueError, "expected a 2-D matrix, got ndim=0"),
+    "as-matrix-3d": (
+        lambda: gf3.as_matrix([[[1]]]), ValueError, "expected a 2-D matrix, got ndim=3",
+    ),
+    "generator-v0": (
+        lambda: gf3.generator_gvk(0, 1), ValueError, "need v >= 1 and k >= 0, got v=0, k=1",
+    ),
+    "generator-negative-k": (
+        lambda: gf3.generator_gvk(9, -1), ValueError, "need v >= 1 and k >= 0, got v=9, k=-1",
+    ),
+    "subspace-row-length": (
+        lambda: gf3.Subspace.from_rows([[1, 0, 0]], 4),
+        ValueError, "row length does not match ambient dimension",
+    ),
+    "subspace-vector-length": (
+        lambda: gf3.row_space([[1, 0, 0]]).contains([1, 0]),
+        ValueError, "vector length does not match ambient dimension",
+    ),
+    "orthogonal-ambient": (
+        lambda: gf3.is_orthogonal(affine_geometry(2).sts, gf3.row_space([[1, 1]])),
+        ValueError, "ambient dimension 2 does not match v=9",
+    ),
+    "permutation-size-mismatch": (
+        lambda: rankfix.PointPermutation.identity(3).after(rankfix.PointPermutation.identity(4)),
+        ValueError, "size mismatch",
+    ),
+    "mix-matrix-t1": (lambda: rankfix.mix_matrix(1), ValueError, "defined for t >= 2"),
+    "trivial-dual-structure": (
+        lambda: rankfix.verify_dual_structure(BlockDesign(0, ())),
+        rankfix.StructureViolation, "dual space is trivial",
+    ),
+    "permute-design-not-bijective": (
+        lambda: permute_design(affine_geometry(2).sts.design, [0, 0, 1, 2, 3, 4, 5, 6, 7]),
+        ValueError, "image is not a permutation of the points",
+    ),
+    "agl-order-negative": (lambda: bounds.agl_order(-1), ValueError, "k must be >= 0"),
+    "gl2-order-negative": (lambda: bounds.gl2_order(-1), ValueError, "m must be >= 0"),
+    "serialize-unknown-kind": (
+        lambda: serialize(DesignFileRecord("blocks", 3)), ValueError, "unknown kind 'blocks'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_CASES))
+def test_input_check_failure(name):
+    call, exc_type, text = INPUT_CASES[name]
+    with pytest.raises(exc_type) as info:
+        call()
+    assert type(info.value) is exc_type
+    assert str(info.value) == text
+
+
+# Degenerate inputs answered with a sentinel, not an error: name -> (call, result).
+SENTINEL_CASES = {
+    "latin-orders-differ": (
+        lambda: are_orthogonal(latin_with_mate(3)[0], LatinSquare(1, ((0,),))), False,
+    ),
+    "as-matrix-vector-is-one-row": (lambda: gf3.as_matrix([1, 2, 4]).tolist(), [[1, 2, 1]]),
+    "canonicalize-trivial-dual": (
+        lambda: rankfix.dual_canonicalize(StsInstance(BlockDesign(0, ()))),
+        (rankfix.PointPermutation(0, ()), -1),
+    ),
+    "parallel-classes-v-not-divisible-by-3": (
+        lambda: resolution.enumerate_parallel_classes(small_sts(7).design), ((), True, 0),
+    ),
+    "resolvable-63-zero-budget": (
+        lambda: resolvable_sts(63, resolution.SearchLimits(node_budget=0)), None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SENTINEL_CASES))
+def test_degenerate_input_sentinel(name):
+    call, result = SENTINEL_CASES[name]
+    assert call() == result
 
 
 @pytest.mark.parametrize("name", sorted(INGREDIENT_CASES))
@@ -181,6 +317,14 @@ VERIFY_CASES = {
         ("--orthogonal-to", "9,2", "--rank", "3"),
         '{"ok":false,"checks":[{"check":"well-formed","ok":false,'
         '"detail":"duplicate block (0, 1, 2)"}]}', 1,
+    ),
+    # The design is named by the repr of the block as the file gave it, a
+    # tuple, not by an array's repr: a reader handing BlockDesign an array
+    # would print "array([3, 4, 9])".
+    "sts-out-of-range": (
+        HEADER.format(kind="sts", v=9) + "[0,1,2]\n[3,4,9]\n", (),
+        '{"ok":false,"checks":[{"check":"well-formed","ok":false,'
+        '"detail":"block (3, 4, 9) out of range for v=9"}]}', 1,
     ),
     "resolution-out-of-range": (
         HEADER.format(kind="resolution", v=9) + "[[0,1,2],[3,4,9]]\n", (),
@@ -277,3 +421,60 @@ def test_missing_resolution_file_exits_4(ag2, tmp_path, capsys):
     stdout, stderr = capsys.readouterr()
     assert stdout == ""
     assert re.fullmatch(r"i/o error: \[Errno 2\] No such file or directory: '.*'\n", stderr)
+
+
+DEC_HEADER = '{"format_version":"1","kind":"decomposition","v":9,"k":1}\n'
+AG2_RES = "[[0,1,2],[3,4,5],[6,7,8]]\n[[0,3,6],[1,4,7],[2,5,8]]\n"
+
+# name -> (arguments, input file text, error line).  "IN" in the arguments
+# names a file holding the text.  Each case exits 2 with the one line on
+# stderr, prints nothing and writes no file.
+EXIT_2_CASES = {
+    "compose-k0": (
+        ("construct", "compose", "--k", "0", "--T", "7"), None,
+        "--k must be >= 1 and --T admissible (1 or 3 mod 6)",
+    ),
+    "compose-t-above-k": (
+        ("construct", "compose", "--k", "2", "--T", "7", "--t", "3"), None,
+        "--t must satisfy 0 <= t <= k",
+    ),
+    "force-rank-on-sts-file": (
+        ("construct", "force-rank", "--in", "IN"), HEADER.format(kind="sts", v=9) + TD3_BODY,
+        "force-rank needs a decomposition file (with k)",
+    ),
+    "resolve-on-resolution-file": (
+        ("construct", "resolve", "--in", "IN"), HEADER.format(kind="resolution", v=9) + AG2_RES,
+        "resolve needs an sts (or decomposition) file",
+    ),
+    # Named by the tuple's repr, as in "sts-out-of-range" of VERIFY_CASES.
+    "force-rank-out-of-range": (
+        ("construct", "force-rank", "--in", "IN"), DEC_HEADER + "[0,1,2]\n[3,4,9]\n",
+        "block (3, 4, 9) out of range for v=9",
+    ),
+    # Each line is one record: a block split over two lines is malformed,
+    # though the joined body "[0,1],[2,3]" would parse as two blocks.
+    "verify-block-split-over-lines": (
+        ("verify", "IN"), HEADER.format(kind="sts", v=9) + "[0,1],[2\n3]\n",
+        "Extra data: line 1 column 6 (char 5)",
+    ),
+    "verify-empty-file": (("verify", "IN"), "\n \n", "empty design file"),
+    "verify-header-not-object": (
+        ("verify", "IN"), "[0,1,2]\n", "first record must be a header object",
+    ),
+    "verify-object-in-body": (
+        ("verify", "IN"), HEADER.format(kind="sts", v=3) + '{"blocks":[[0,1,2]]}\n',
+        "unexpected object record in body",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_2_CASES))
+def test_cli_exit_2(tmp_path, monkeypatch, capsys, name):
+    argv, text, line = EXIT_2_CASES[name]
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "input.jsonl").write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    got = main(["input.jsonl" if a == "IN" else a for a in argv])
+    assert (capsys.readouterr(), got) == (("", f"error: {line}\n"), 2)
+    assert [p.name for p in tmp_path.iterdir()] == (["input.jsonl"] if text is not None else [])

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 from trisys.designs import (
     BlockDesign,
+    Resolution,
     VerificationReport,
     canonical_td_groups,
+    verify_resolution,
     verify_sts,
     verify_td,
 )
@@ -101,6 +103,10 @@ CASES = {
     "td-mixed": td(9, TD3[2:] + ((0, 1, 5), (3, 6, 7), (0, 4, 7), (1, 4, 7)), SHUFFLED),
     "td-empty": td(9, (), SHUFFLED),
     "td-empty-w0": td(0, (), ((), (), ())),
+    # verify_resolution: a class naming a block the design does not have.
+    "resolution-index-out-of-range": lambda: verify_resolution(
+        BlockDesign(3, ((0, 1, 2),)), Resolution(((5,),))
+    ),
 }
 
 
@@ -131,6 +137,11 @@ GOLDEN = {
     'out-of-range-high': ('raises', 'ValueError', 'block (0, 1, 5) out of range for v=5'),
     'out-of-range-huge': ('raises', 'ValueError', 'block (0, 1, 1180591620717411303424) out of range for v=5'),
     'out-of-range-low': ('raises', 'ValueError', 'block (-1, 1, 2) out of range for v=5'),
+    'resolution-index-out-of-range': ('report', False, (
+        'class 0: block index 5 out of range',
+        'class 0 is not a partition of the points',
+        '1 blocks not covered by any class',
+    )),
     'repeated-point': ('raises', 'ValueError', 'block (0, 0, 1) does not have 3 distinct points'),
     'sts-ag2': ('report', True, ()),
     'sts-ag2-minus-block': ('report', False, (
