@@ -79,7 +79,6 @@ def is_prime_power(n: int) -> bool:
             while n % p == 0:
                 n //= p
             return n == 1
-    return False
 
 
 def _grouped_bound(formula_id: str, T: int, k: int, counts: dict[str, int],

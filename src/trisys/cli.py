@@ -90,19 +90,21 @@ def _cmd_construct(args) -> int:
         rec = read_design(args.infile)
         if rec.kind != "decomposition" or rec.k is None:
             raise ValueError("force-rank needs a decomposition file (with k)")
-        s = StsInstance(BlockDesign(rec.v, rec.blocks))
-        dec = decompose(s, rec.k)
+        k, s = rec.k, StsInstance(BlockDesign(rec.v, rec.blocks))
+        del rec  # one tuple per block: about five times the design's array
+        dec = decompose(s, k)
         forced = force_exact_rank(dec)
         out = out or "forced"
-        write_design(f"{out}.sts.jsonl", sts_record(forced, k=rec.k))
+        write_design(f"{out}.sts.jsonl", sts_record(forced, k=k))
         # force_exact_rank proved dual = row space of G(v,k), of dimension
         # k+1, so the rank is v-k-1 by rank-nullity.
-        print(_summary(forced, forced.v - rec.k - 1, False))
+        print(_summary(forced, forced.v - k - 1, False))
     elif args.what == "resolve":
         rec = read_design(args.infile)
         if rec.kind not in ("sts", "decomposition"):
             raise ValueError("resolve needs an sts (or decomposition) file")
         s = StsInstance(BlockDesign(rec.v, rec.blocks))
+        del rec
         limits = SearchLimits(node_budget=args.node_budget, max_classes=args.max_classes)
         outcome = search_resolution(s.design, limits)
         if outcome.resolution is None:
@@ -160,6 +162,7 @@ def _cmd_verify(args) -> int:
         # Malformed designs (duplicate or out-of-range blocks) are failed
         # checks with a named violation, not parameter errors.
         return _print_report([_entry("well-formed", VerificationReport(False, (str(exc),)))])
+    del rec  # only the design is needed from here on
 
     if args.resolution:
         rrec = read_design(args.resolution)
@@ -175,8 +178,8 @@ def _cmd_verify(args) -> int:
             v_target, k_target = int(v_str), int(k_str)
         except ValueError:
             raise ValueError("--orthogonal-to expects v,k")
-        if v_target != rec.v:
-            rep = VerificationReport(False, (f"file has v={rec.v}, expected {v_target}",))
+        if v_target != design.v:
+            rep = VerificationReport(False, (f"file has v={design.v}, expected {v_target}",))
         else:
             code = gf3.row_space(gf3.generator_gvk(v_target, k_target))
             rep = VerificationReport(gf3.is_orthogonal(design, code))
@@ -239,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_res = consub.add_parser("resolve", help="search a resolution by exact cover")
     p_res.add_argument("--in", dest="infile", required=True)
     p_res.add_argument("--out")
-    p_res.add_argument("--node-budget", type=int, default=10**8)
-    p_res.add_argument("--max-classes", type=int, default=10**6)
+    p_res.add_argument("--node-budget", type=int, default=SearchLimits.node_budget)
+    p_res.add_argument("--max-classes", type=int, default=SearchLimits.max_classes)
 
     ver = sub.add_parser("verify", help="check axioms, ranks, orthogonality")
     ver.add_argument("file")

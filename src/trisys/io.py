@@ -8,6 +8,12 @@ carries the composed block list plus k in the header, which is the whole
 decomposition up to the standard reading-off.  Serialization is canonical
 (sorted blocks, fixed key order, compact separators) so parse/serialize
 round-trips byte for byte.
+
+A block body is encoded with one encoder call and split into lines; a
+resolution body with one call per class.  The reader parses one line at a
+time, so that each line must be a record on its own (a block split over
+two lines is malformed) and a bad block is named by the tuple it was read
+as.
 """
 
 from __future__ import annotations
@@ -48,13 +54,12 @@ def serialize(rec: DesignFileRecord) -> str:
         header["T"] = rec.T
     lines = [_dump(header)]
     if rec.groups is not None:
-        lines.append(_dump({"groups": [list(g) for g in rec.groups]}))
+        lines.append(_dump({"groups": rec.groups}))
     if rec.kind == "resolution":
-        for cls in rec.classes:
-            lines.append(_dump([list(b) for b in cls]))
-    else:
-        for b in rec.blocks:
-            lines.append(_dump(list(b)))
+        lines += map(_dump, rec.classes)
+    elif rec.blocks:
+        # Blocks hold integers only, so "],[" occurs only between two blocks.
+        lines.append(_dump(rec.blocks)[1:-1].replace("],[", "]\n["))
     return "\n".join(lines) + "\n"
 
 

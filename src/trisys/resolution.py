@@ -48,7 +48,7 @@ class SearchOutcome:
 
 
 def enumerate_parallel_classes(
-    d: BlockDesign, max_classes: int = 10**6, node_budget: int = 10**8
+    d: BlockDesign, max_classes=SearchLimits.max_classes, node_budget=SearchLimits.node_budget
 ) -> tuple[tuple[tuple[int, ...], ...], bool, int]:
     """All block-index sets partitioning the points; (classes, complete, nodes)."""
     SearchLimits(node_budget, max_classes)  # a negative limit is a ValueError

@@ -2,13 +2,18 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from trisys import cli
 from trisys.cli import main
+from trisys.composition import compose, random_decomposition
+from trisys.io import sts_record, write_design
 
 
 def run(capsys, *argv):
@@ -336,3 +341,43 @@ def test_cli_deterministic_output(tmp_path, capsys):
     fb = (tmp_path / "b.sts.jsonl").read_bytes()
     assert fa == fb
 
+
+@pytest.fixture(scope="module")
+def decomposition_567(tmp_path_factory):
+    path = tmp_path_factory.mktemp("v567") / "dec.sts.jsonl"
+    s = compose(random_decomposition(4, 7, random.Random(1)))
+    write_design(str(path), sts_record(s, k=4, t=7, kind="decomposition"))
+    return str(path)
+
+
+class _Probed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (("construct", "force-rank", "--in", "FILE"), "decompose"),
+    (("construct", "resolve", "--in", "FILE"), "search_resolution"),
+    (("verify", "FILE", "--rank", "3"), "p_rank"),
+])
+def test_file_record_is_dropped_once_the_design_is_built(
+    decomposition_567, tmp_path, monkeypatch, argv, stage
+):
+    # The record read from a design file holds one tuple per block, about
+    # five times the bytes of the design's block array; the command's main
+    # work starts once only the design is left.
+    live = {}
+
+    def probe(d, *args):
+        live["bytes"] = tracemalloc.get_traced_memory()[0]
+        live["array"] = d.array.nbytes
+        raise _Probed
+
+    monkeypatch.setattr(cli, stage, probe)
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Probed):
+            main([decomposition_567 if a == "FILE" else a for a in argv])
+    finally:
+        tracemalloc.stop()
+    assert live["bytes"] < 2 * live["array"]
