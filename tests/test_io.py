@@ -1,6 +1,7 @@
 """Design file serialization round trips."""
 
 import json
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -77,7 +78,7 @@ def encode_line_by_line(rec):
     """The writer's bytes as they were produced before a body became one
     encoder call: the header, the groups record, then one dump per block or
     class."""
-    dump = lambda obj: json.dumps(obj, separators=(",", ":"))  # noqa: E731
+    dump = partial(json.dumps, separators=(",", ":"))
     header = {"format_version": "1", "kind": rec.kind, "v": rec.v}
     if rec.k is not None:
         header["k"] = rec.k
