@@ -74,66 +74,3 @@ from .rankfix import (
     verify_dual_structure,
 )
 from .resolution import SearchLimits, SearchOutcome, find_resolution, search_resolution
-
-__all__ = [
-    "AffineGeometry",
-    "BlockDesign",
-    "BoundReport",
-    "Decomposition",
-    "LatinSquare",
-    "PointPermutation",
-    "Resolution",
-    "SearchLimits",
-    "SearchOutcome",
-    "SplitDecomposition",
-    "StructureViolation",
-    "StsInstance",
-    "Subspace",
-    "TdInstance",
-    "VerificationReport",
-    "affine_geometry",
-    "ag_blocks",
-    "agl_order",
-    "are_orthogonal",
-    "bound_rcw",
-    "bound_thm1",
-    "bound_thm1prime",
-    "bound_thm2",
-    "compose",
-    "compose_resolution",
-    "compose_split",
-    "decompose",
-    "dual_canonicalize",
-    "dual_space",
-    "example_n3_bound",
-    "find_resolution",
-    "force_exact_rank",
-    "generator_gvk",
-    "gl2_order",
-    "incidence_matrix",
-    "intersect_dim",
-    "is_orthogonal",
-    "kts15",
-    "latin_with_mate",
-    "min_rank",
-    "mix_matrix",
-    "null_space",
-    "p_rank",
-    "perm_intersection",
-    "permute_design",
-    "permute_sts",
-    "rank",
-    "random_decomposition",
-    "resolvable_sts",
-    "resolve_td",
-    "row_space",
-    "search_resolution",
-    "small_sts",
-    "split_ag",
-    "split_standard_resolution",
-    "td_from_latin",
-    "verify_dual_structure",
-    "verify_resolution",
-    "verify_sts",
-    "verify_td",
-]

@@ -28,7 +28,14 @@ class BoundReport:
 
     @property
     def decimal_digits(self) -> int:
-        return len(str(self.floor_value))
+        """len(str(floor_value)), counted against powers of ten: str()
+        refuses an int of more than 4,300 digits."""
+        n = abs(self.floor_value)
+        # A lower bound on the count: 2^(bits-1) <= n, and 0.30102999566 < log10(2).
+        d = max(1, (n.bit_length() - 1) * 30102999566 // 10**11)
+        while n >= 10**d:
+            d += 1
+        return d + (self.floor_value < 0)
 
 
 def agl_order(k: int) -> int:

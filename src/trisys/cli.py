@@ -73,15 +73,14 @@ def _cmd_construct(args) -> int:
     elif args.what == "compose":
         if args.k < 1 or args.T < 1 or args.T % 6 not in (1, 3):
             raise ValueError("--k must be >= 1 and --T admissible (1 or 3 mod 6)")
-        t_split = args.t or 0
-        if not 0 <= t_split <= args.k:
+        if not 0 <= args.t <= args.k:
             raise ValueError("--t must satisfy 0 <= t <= k")
         s = compose(
-            random_decomposition(args.k, args.T, random.Random(args.seed), t_split)
+            random_decomposition(args.k, args.T, random.Random(args.seed), args.t)
         )
         out = out or (
             f"compose-k{args.k}-T{args.T}"
-            + (f"-t{t_split}" if t_split else "")
+            + (f"-t{args.t}" if args.t else "")
             + f"-seed{args.seed}"
         )
         write_design(f"{out}.sts.jsonl", sts_record(s, k=args.k, t=args.T, kind="decomposition"))
@@ -203,15 +202,18 @@ def _cmd_bound(args) -> int:
         if args.n1hat is None:
             raise ValueError("thm2 requires --n1hat")
         rep = bound_thm2(args.T, args.k, args.n1hat, args.n3)
-    print(f"formula: {rep.formula_id}")
-    for name, value in rep.inputs.items():
-        print(f"{name}: {value}")
-    print(f"numerator: {rep.numerator}")
-    print(f"denominator: {rep.denominator}")
-    print(f"floor: {rep.floor_value}")
-    print(f"digits: {rep.decimal_digits}")
     note = "" if rep.hypothesis_ok else f" ({rep.hypothesis_note})"
-    print(f"hypothesis: {'ok' if rep.hypothesis_ok else 'violated'}{note}")
+    # Built in full before printing: str() of an int past 4,300 digits raises.
+    lines = [
+        f"formula: {rep.formula_id}",
+        *(f"{name}: {value}" for name, value in rep.inputs.items()),
+        f"numerator: {rep.numerator}",
+        f"denominator: {rep.denominator}",
+        f"floor: {rep.floor_value}",
+        f"digits: {rep.decimal_digits}",
+        f"hypothesis: {'ok' if rep.hypothesis_ok else 'violated'}{note}",
+    ]
+    print("\n".join(lines))
     return EXIT_OK
 
 

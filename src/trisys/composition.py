@@ -25,6 +25,7 @@ import numpy as np
 from . import gf3
 from .constructions import affine_geometry, small_sts
 from .designs import (
+    Block,
     BlockDesign,
     LatinSquare,
     Resolution,
@@ -36,10 +37,8 @@ from .designs import (
     verify_resolution,
 )
 
-Triple = tuple[int, int, int]
 
-
-def ag_blocks(k: int) -> tuple[Triple, ...]:
+def ag_blocks(k: int) -> tuple[Block, ...]:
     """Sorted zero-sum triples of ternary k-tuples (the group-level system)."""
     if k == 0:
         return ()
@@ -60,7 +59,7 @@ class Decomposition:
     k: int
     T: int
     sub_systems: tuple[StsInstance, ...]
-    tds: Mapping[Triple, TdInstance]
+    tds: Mapping[Block, TdInstance]
     t: int = 0
 
     def __post_init__(self):
@@ -96,7 +95,7 @@ class Decomposition:
         return 3**self.k * self.T
 
 
-def embedded_parts(d: Decomposition) -> tuple[list[np.ndarray], dict[Triple, np.ndarray]]:
+def embedded_parts(d: Decomposition) -> tuple[list[np.ndarray], dict[Block, np.ndarray]]:
     """Every ingredient's block array in the points of the composed system:
     sub-system j shifted by j * 3^t * T, and the TD of a group triple with
     local point a sent to triple[a // T] * T + a % T (rows stay sorted)."""
@@ -153,14 +152,14 @@ def decompose(s: StsInstance, k: int) -> Decomposition:
     return Decomposition(k=k, T=t, sub_systems=subs, tds=tds)
 
 
-def split_ag(k: int, t: int) -> tuple[list[list[Triple]], list[Triple]]:
+def split_ag(k: int, t: int) -> tuple[list[list[Block]], list[Block]]:
     """Partition the group-level blocks by the coarse grouping
     L_j = {j*3^t .. (j+1)*3^t - 1}: per-L_j inner blocks, then the rest."""
     if not 0 <= t <= k:
         raise ValueError(f"need 0 <= t <= k, got t={t}, k={k}")
     size = 3**t
-    inner: list[list[Triple]] = [[] for _ in range(3 ** (k - t))]
-    outer: list[Triple] = []
+    inner: list[list[Block]] = [[] for _ in range(3 ** (k - t))]
+    outer: list[Block] = []
     for blk in ag_blocks(k):
         js = {i // size for i in blk}
         if len(js) == 1:
@@ -172,18 +171,16 @@ def split_ag(k: int, t: int) -> tuple[list[list[Triple]], list[Triple]]:
 
 def split_standard_resolution(k: int) -> tuple[BlockDesign, Resolution]:
     """The cross-group blocks for t = 1 with the translation resolution
-    minus its one inner class (the class holding block (0,1,2))."""
-    inner, outer = split_ag(k, 1)
-    inner_set = {b for group in inner for b in group}
+    minus its one inner class (the class holding block (0,1,2), row 0)."""
     ag = affine_geometry(k)
-    all_blocks = ag.sts.design.blocks
-    first = all_blocks.index((0, 1, 2))
-    deleted = next((cls for cls in ag.standard_resolution.classes if first in cls), None)
-    if deleted is None or {all_blocks[i] for i in deleted} != inner_set:
+    a = ag.sts.array
+    inner = a[:, 0] // 3 == a[:, 2] // 3  # a sorted row inside one group of three
+    deleted = next(cls for cls in ag.standard_resolution.classes if 0 in cls)
+    if list(deleted) != np.flatnonzero(inner).tolist():
         raise AssertionError("the class of (0,1,2) is not the inner blocks of AG(k)")
-    remainder = BlockDesign(3**k, tuple(outer))
+    remainder = BlockDesign(3**k, a[~inner])
     classes = tuple(
-        tuple(remainder.lookup(ag.sts.array[list(cls)]).tolist())
+        tuple(remainder.lookup(a[list(cls)]).tolist())
         for cls in ag.standard_resolution.classes
         if cls is not deleted
     )
@@ -193,7 +190,7 @@ def split_standard_resolution(k: int) -> tuple[BlockDesign, Resolution]:
 def compose_resolution(
     dec: Decomposition,
     sub_resolutions: Sequence[Resolution],
-    td_resolutions: Mapping[Triple, Resolution],
+    td_resolutions: Mapping[Block, Resolution],
     outer_resolution: Resolution,
 ) -> Resolution:
     """Merge ingredient resolutions into one for the composed system.

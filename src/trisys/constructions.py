@@ -110,8 +110,6 @@ def small_sts(t: int) -> StsInstance:
     """A concrete triple system of any admissible order t = 1, 3 (mod 6)."""
     if t < 1 or t % 6 not in (1, 3):
         raise ValueError(f"no triple system of order {t}")
-    if t == 1:
-        return StsInstance(BlockDesign(1, ()))
     if t % 6 == 3:
         return _bose(t // 3)
     return _skolem(t // 6)

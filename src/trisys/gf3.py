@@ -98,11 +98,10 @@ class Subspace:
 
     @staticmethod
     def from_rows(rows, ambient_dim: int | None = None) -> "Subspace":
-        a = as_matrix(rows, 3)
-        ambient_dim = a.shape[1] if ambient_dim is None else ambient_dim
-        if a.shape[1] != ambient_dim:
+        r, pivots = rref(rows, 3)
+        ambient_dim = r.shape[1] if ambient_dim is None else ambient_dim
+        if r.shape[1] != ambient_dim:
             raise ValueError("row length does not match ambient dimension")
-        r, pivots = rref(a, 3)
         b = np.ascontiguousarray(r[: len(pivots)])
         b.setflags(write=False)
         return Subspace(ambient_dim, b)

@@ -226,7 +226,7 @@ def force_exact_rank(d: Decomposition) -> StsInstance:
     tau0 = _layout_sort(extension[:, :t_order])
 
     sigma, l = dual_canonicalize(d.sub_systems[0])
-    level = max(l if l >= 0 else 0, kprime - k)
+    level = max(l, kprime - k)
     pi = perm_intersection(t_order, level)
     relabel = tau0.inverse().after(pi.after(sigma))
     replaced = permute_design(d.sub_systems[0].design, relabel.image)

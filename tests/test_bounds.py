@@ -1,11 +1,13 @@
 """Exact big-integer bound arithmetic and the minimum-rank classifier."""
 
+import sys
 from itertools import permutations
 from math import factorial
 
 import pytest
 
 from trisys.bounds import (
+    BoundReport,
     agl_order,
     bound_rcw,
     bound_thm1,
@@ -171,3 +173,21 @@ def test_reports_are_exact_integers():
     assert isinstance(rep.floor_value, int)
     assert rep.floor_value == rep.numerator // rep.denominator
     assert rep.decimal_digits == len(str(rep.floor_value))
+
+
+def _str_digits(x: int) -> int:
+    """len(str(x)) with Python's 4,300-digit conversion limit lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return len(str(x))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_digits_past_the_string_conversion_limit():
+    big = bound_thm2(7, 4, 38102400, 435456000)
+    assert big.decimal_digits == 8993
+    values = [0, 9, 10, 10**4300 - 1, 10**4300, big.floor_value, -1, -10**4300]
+    for x in values:
+        assert BoundReport("x", {}, x).decimal_digits == _str_digits(x), x

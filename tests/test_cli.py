@@ -327,6 +327,18 @@ def test_bound_thm1prime(capsys):
     )
 
 
+def test_bound_past_the_string_conversion_limit_prints_nothing(capsys):
+    # The numerator has more than 4,300 digits, which str() refuses: the
+    # command fails before any line of the report reaches stdout.
+    code, stdout, err = run(
+        capsys, "bound", "thm2", "--T", "7", "--k", "4",
+        "--n1hat", "38102400", "--n3", "435456000",
+    )
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1
+
+
 def test_bound_thm2_requires_n1hat(capsys):
     code, _, err = run(capsys, "bound", "thm2", "--T", "7", "--k", "2")
     assert code == 2
