@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ from .designs import (
     Resolution,
     StsInstance,
     TdInstance,
+    _unchecked,
     canonical_td_groups,
     permute_sts,
     td_from_latin,
@@ -38,6 +40,7 @@ from .designs import (
 )
 
 
+@cache
 def ag_blocks(k: int) -> tuple[Block, ...]:
     """Sorted zero-sum triples of ternary k-tuples (the group-level system)."""
     if k == 0:
@@ -129,6 +132,9 @@ def decompose(s: StsInstance, k: int) -> Decomposition:
 
     Inverse of compose block for block.  Raises if the system is not
     orthogonal in the standard layout; then no decomposition exists.
+    The parts are valid by construction, cut from the checked STS s after
+    its orthogonality check: a pair inside one group lies in a block inside
+    that group, a cross pair in a block meeting its triple's third group.
     """
     v = s.v
     if k < 0 or v % 3**k != 0:
@@ -141,12 +147,13 @@ def decompose(s: StsInstance, k: int) -> Decomposition:
     a = s.array
     groups = a // t
     inside = groups[:, 0] == groups[:, 2]
-    subs = tuple(StsInstance(BlockDesign(t, b)) for b in np.split(a[inside] % t, n))
+    subs = tuple(_unchecked(StsInstance, design=BlockDesign(t, b))
+                 for b in np.split(a[inside] % t, n))
     codes = (groups[~inside, 0] * n + groups[~inside, 1]) * n + groups[~inside, 2]
     cross = a[~inside][np.argsort(codes, kind="stable")]
     local = np.arange(3) * t + cross % t
     tds = {
-        triple: TdInstance(BlockDesign(3 * t, b), canonical_td_groups(t))
+        triple: _unchecked(TdInstance, design=BlockDesign(3 * t, b), groups=canonical_td_groups(t))
         for triple, b in zip(ag_blocks(k), np.split(local, np.arange(t * t, len(local), t * t)))
     }
     return Decomposition(k=k, T=t, sub_systems=subs, tds=tds)

@@ -8,7 +8,9 @@ the sorted 3-tuple view, is computed on each access, for output only, and
 axioms are one check on the array: every required pair p < q, coded
 p*v + q, must occur in exactly one block.
 StsInstance, TdInstance and LatinSquare validate their axioms on
-construction; the verify_* functions report on untrusted input.
+construction, except the parts valid by construction (_unchecked, called
+from td_from_latin, permute_sts and decompose only); the verify_*
+functions report on untrusted input.
 
 Ranks and dual spaces are exact without the b x v incidence matrix M: the
 null space N of a stride sample of min(b, 2v) blocks contains null(M), and
@@ -219,6 +221,16 @@ class TdInstance(_DesignView):
         return len(self.groups[0])
 
 
+def _unchecked(cls, **fields):
+    """An StsInstance or TdInstance without its axiom check (its BlockDesign
+    still normalises), for a part valid by construction: td_from_latin,
+    permute_sts and decompose say why in their docstrings."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class Resolution:
     """Parallel classes as tuples of block indices into the owning design."""
@@ -326,11 +338,13 @@ def canonical_td_groups(t: int) -> tuple[tuple[int, ...], ...]:
 
 
 def td_from_latin(sq: LatinSquare) -> TdInstance:
-    """The standard correspondence: block {r, T+c, 2T+L(r,c)} per cell."""
+    """The standard correspondence: block {r, T+c, 2T+L(r,c)} per cell; valid
+    by construction, since a row and a column of the checked square meet in
+    one cell, and each holds every symbol once."""
     t = sq.order
     r, c = np.divmod(np.arange(t * t), t)
     blocks = np.stack([r, t + c, 2 * t + np.array(sq.cells).reshape(-1)], axis=1)
-    return TdInstance(BlockDesign(3 * t, blocks), canonical_td_groups(t))
+    return _unchecked(TdInstance, design=BlockDesign(3 * t, blocks), groups=canonical_td_groups(t))
 
 
 def resolve_td(sq: LatinSquare, mate: LatinSquare) -> Resolution:
@@ -353,7 +367,9 @@ def permute_design(d: BlockDesign, image) -> BlockDesign:
 
 
 def permute_sts(s: StsInstance, image) -> StsInstance:
-    return StsInstance(permute_design(s.design, image))
+    """Relabel a checked STS; valid by construction, since permute_design
+    checks that image is a bijection and a relabelled STS is an STS."""
+    return _unchecked(StsInstance, design=permute_design(s.design, image))
 
 
 def transport_resolution(d: BlockDesign, r: Resolution, image) -> Resolution:

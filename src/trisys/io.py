@@ -10,15 +10,17 @@ decomposition up to the standard reading-off.  Serialization is canonical
 round-trips byte for byte.
 
 A block body is encoded with one encoder call and split into lines; a
-resolution body with one call per class.  The reader parses one line at a
-time, so that each line must be a record on its own (a block split over
-two lines is malformed) and a bad block is named by the tuple it was read
-as.
+resolution body with one call per class.  Each line is a record on its
+own: the reader parses a block body in one pass only if every line is a
+canonical block (_CANONICAL_BLOCK), else, and for a resolution body, line
+by line, so a block split over two lines is malformed and a bad block is
+named by the tuple it was read as.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,8 @@ from .designs import Block, BlockDesign, Resolution, StsInstance, TdInstance
 
 FORMAT_VERSION = "1"
 KINDS = ("sts", "td", "resolution", "decomposition")
+_CHUNK = 4096  # canonical body lines per decoder call
+_CANONICAL_BLOCK = r"\[(?:0|[1-9][0-9]{0,17})(?:,(?:0|[1-9][0-9]{0,17}))*\]"
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,12 @@ def deserialize(text: str) -> DesignFileRecord:
     if kind == "resolution":
         classes = tuple(parse(i, lambda c: tuple(tuple(map(_int, b)) for b in c)) for i in body)
         return DesignFileRecord(kind, v, k, t, (), classes, groups)
-    blocks = tuple(parse(i, lambda b: tuple(map(_int, b))) for i in body)
+    rows = lines[body.start:]
+    if all(map(re.compile(_CANONICAL_BLOCK).fullmatch, rows)):
+        blocks = tuple(b for i in range(0, len(rows), _CHUNK)
+                       for b in map(tuple, json.loads("[" + ",".join(rows[i:i + _CHUNK]) + "]")))
+    else:
+        blocks = tuple(parse(i, lambda b: tuple(map(_int, b))) for i in body)
     return DesignFileRecord(kind, v, k, t, blocks, (), groups)
 
 
