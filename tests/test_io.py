@@ -143,7 +143,9 @@ def per_line_deserialize(text):
     kind = header.get("kind")
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    v, k, t = parse(0, lambda h: (integer(h["v"]), *(integer(h[x]) if x in h else None for x in "kT")))
+    v, k, t = parse(
+        0, lambda h: (integer(h["v"]), *(integer(h[x]) if x in h else None for x in "kT"))
+    )
     second = parse(1) if len(lines) > 1 else None
     groups = None
     if isinstance(second, dict):
@@ -163,7 +165,7 @@ def outcome(read, text):
     type and text."""
     try:
         return repr(read(text))
-    except Exception as exc:  # noqa: BLE001 - the oracle compares any failure
+    except Exception as exc:  # the oracle compares any failure
         return type(exc), str(exc)
 
 
@@ -190,7 +192,8 @@ bodies = st.lists(canonical_lines, max_size=6) | st.lists(
     blank=st.sampled_from(("", " ", "\r\n")),
     end=st.booleans(),
 )
-@example(kind="sts", groups="", body=["[4,5,6]", "[0,1],[2", "3]"], newline="\n", blank="", end=True)
+@example(kind="sts", groups="", body=["[4,5,6]", "[0,1],[2", "3]"], newline="\n", blank="",
+         end=True)
 @example(kind="sts", groups="", body=["[0,1,2]", "[00,3,4]"], newline="\n", blank="", end=True)
 @example(kind="td", groups="", body=["[0,1,2]", "[-1,3,4]"], newline="\r\n", blank=" ", end=False)
 @settings(max_examples=400, deadline=None)
