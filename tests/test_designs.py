@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from trisys.composition import compose, random_decomposition
+from trisys.composition import compose, random_decomposition, random_latin
 from trisys.constructions import affine_geometry, latin_with_mate, small_sts
 from trisys.designs import (
     BlockDesign,
@@ -223,6 +223,47 @@ def test_resolve_td_rejects_order_mismatch():
 def test_are_orthogonal_negative():
     main, _ = latin_with_mate(3)
     assert not are_orthogonal(main, main)
+
+
+def test_latin_square_equality_and_hash():
+    rows = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    from_tuples = LatinSquare(3, rows)
+    from_array = LatinSquare(3, np.array(rows))
+    other = LatinSquare(3, ((0, 2, 1), (1, 0, 2), (2, 1, 0)))
+    assert from_tuples == from_array
+    assert hash(from_tuples) == hash(from_array)
+    assert len({from_tuples, from_array, other}) == 2
+    assert from_tuples != other and from_array != other
+
+
+def cell_lists(sq):
+    return [[int(x) for x in row] for row in sq.cells]
+
+
+def test_random_latin_cells_pinned():
+    pins = {
+        0: [[4, 1, 0, 3, 6, 5, 2], [0, 4, 5, 1, 2, 6, 3], [3, 2, 1, 6, 0, 4, 5],
+            [5, 0, 6, 4, 3, 2, 1], [2, 6, 3, 5, 4, 1, 0], [1, 3, 4, 2, 5, 0, 6],
+            [6, 5, 2, 0, 1, 3, 4]],
+        1: [[2, 4, 6, 5, 3, 1, 0], [6, 5, 0, 1, 2, 3, 4], [0, 1, 4, 3, 6, 2, 5],
+            [1, 6, 3, 0, 5, 4, 2], [3, 0, 2, 4, 1, 5, 6], [5, 2, 1, 6, 4, 0, 3],
+            [4, 3, 5, 2, 0, 6, 1]],
+        2: [[3, 2, 5, 0, 1, 4, 6], [4, 6, 3, 5, 0, 2, 1], [5, 4, 0, 1, 6, 3, 2],
+            [0, 3, 1, 6, 2, 5, 4], [2, 1, 4, 3, 5, 6, 0], [1, 5, 6, 2, 4, 0, 3],
+            [6, 0, 2, 4, 3, 1, 5]],
+    }
+    for seed, cells in pins.items():
+        assert cell_lists(random_latin(7, random.Random(seed))) == cells
+
+
+def test_latin_with_mate_cells_pinned():
+    main, mate = latin_with_mate(5)
+    assert cell_lists(main) == [
+        [0, 1, 2, 3, 4], [1, 2, 3, 4, 0], [2, 3, 4, 0, 1], [3, 4, 0, 1, 2], [4, 0, 1, 2, 3]
+    ]
+    assert cell_lists(mate) == [
+        [0, 2, 4, 1, 3], [1, 3, 0, 2, 4], [2, 4, 1, 3, 0], [3, 0, 2, 4, 1], [4, 1, 3, 0, 2]
+    ]
 
 
 def test_permute_sts_and_transport_resolution():

@@ -103,6 +103,12 @@ CONSTRUCTOR_CASES = {
     "latin-row-not-permutation": (
         lambda: LatinSquare(2, ((0, 0), (1, 1))), "row (0, 0) is not a permutation",
     ),
+    "latin-column-not-permutation": (
+        lambda: LatinSquare(2, ((0, 1), (0, 1))), "column 0 is not a permutation",
+    ),
+    "latin-short-row": (
+        lambda: LatinSquare(2, ((0, 1), (1,))), "row (1,) is not a permutation",
+    ),
 }
 
 
