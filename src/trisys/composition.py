@@ -89,8 +89,9 @@ class Decomposition:
         _, outer = split_ag(self.k, self.t)
         if set(self.tds) != set(outer):
             raise ValueError("TD keys must be exactly the cross-group triples")
+        groups = canonical_td_groups(self.T)
         for key, td in self.tds.items():
-            if td.w != self.T or td.groups != canonical_td_groups(self.T):
+            if td.groups != groups:
                 raise ValueError(f"triple {key}: TD must have canonical groups of size {self.T}")
 
     @property
@@ -252,9 +253,7 @@ def random_latin(t: int, rng: random.Random) -> LatinSquare:
     rows = rng.sample(range(t), t)
     cols = rng.sample(range(t), t)
     syms = rng.sample(range(t), t)
-    return LatinSquare(
-        t, tuple(tuple(syms[(rows[r] + cols[c]) % t] for c in range(t)) for r in range(t))
-    )
+    return LatinSquare(t, np.array(syms)[np.add.outer(rows, cols) % t])
 
 
 def random_decomposition(

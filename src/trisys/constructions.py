@@ -72,8 +72,8 @@ def latin_with_mate(t: int) -> tuple[LatinSquare, LatinSquare]:
     """The pair L(r,c) = r+c and mate(r,c) = r+2c mod t; orthogonal for odd t."""
     if t < 1 or t % 2 == 0:
         raise ValueError(f"order must be odd and positive, got {t}")
-    main = LatinSquare(t, tuple(tuple((r + c) % t for c in range(t)) for r in range(t)))
-    mate = LatinSquare(t, tuple(tuple((r + 2 * c) % t for c in range(t)) for r in range(t)))
+    r, c = np.indices((t, t))
+    main, mate = LatinSquare(t, (r + c) % t), LatinSquare(t, (r + 2 * c) % t)
     if not are_orthogonal(main, mate):
         raise AssertionError("linear pair failed the orthogonality check")
     return main, mate

@@ -300,36 +300,38 @@ def dual_space(d: BlockDesign) -> gf3.Subspace:
 
 @dataclass(frozen=True)
 class LatinSquare:
-    """A T x T array whose rows and columns are permutations of 0..T-1."""
+    """A read-only T x T int64 array whose rows and columns are permutations of 0..T-1."""
 
     order: int
-    cells: tuple[tuple[int, ...], ...]
+    cells: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "cells", tuple(tuple(int(x) for x in row) for row in self.cells)
-        )
-        full = list(range(self.order))
-        if len(self.cells) != self.order:
+        t = self.order
+        if len(self.cells) != t:
             raise ValueError("wrong number of rows")
         for row in self.cells:
-            if sorted(row) != full:
-                raise ValueError(f"row {row} is not a permutation")
-        for c in range(self.order):
-            if sorted(row[c] for row in self.cells) != full:
-                raise ValueError(f"column {c} is not a permutation")
+            if sorted(row) != list(range(t)):
+                raise ValueError(f"row {tuple(int(x) for x in row)} is not a permutation")
+        a = np.array(self.cells, dtype=np.int64).reshape(t, t)
+        bad = (np.sort(a, axis=0) != np.arange(t)[:, None]).any(axis=0)
+        if bad.any():
+            raise ValueError(f"column {bad.argmax()} is not a permutation")
+        a.flags.writeable = False
+        object.__setattr__(self, "cells", a)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LatinSquare):
+            return NotImplemented
+        return self.order == other.order and np.array_equal(self.cells, other.cells)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.cells.tobytes()))
 
 
 def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
-    """True iff the T^2 superimposed cell pairs are all distinct."""
-    if a.order != b.order:
-        return False
-    pairs = {
-        (a.cells[r][c], b.cells[r][c])
-        for r in range(a.order)
-        for c in range(a.order)
-    }
-    return len(pairs) == a.order * a.order
+    """True iff the T^2 superimposed cell pairs, coded a*T + b, are all distinct."""
+    t = a.order
+    return t == b.order and bool((np.bincount((a.cells * t + b.cells).ravel()) == 1).all())
 
 
 def canonical_td_groups(t: int) -> tuple[tuple[int, ...], ...]:
@@ -343,7 +345,7 @@ def td_from_latin(sq: LatinSquare) -> TdInstance:
     one cell, and each holds every symbol once."""
     t = sq.order
     r, c = np.divmod(np.arange(t * t), t)
-    blocks = np.stack([r, t + c, 2 * t + np.array(sq.cells).reshape(-1)], axis=1)
+    blocks = np.stack([r, t + c, 2 * t + sq.cells.ravel()], axis=1)
     return _unchecked(TdInstance, design=BlockDesign(3 * t, blocks), groups=canonical_td_groups(t))
 
 
@@ -353,9 +355,10 @@ def resolve_td(sq: LatinSquare, mate: LatinSquare) -> Resolution:
         raise ValueError("order mismatch")
     if not are_orthogonal(sq, mate):
         raise ValueError("squares are not orthogonal")
-    # Block of cell (r, c) sits at index r*T + c in the sorted block list.
-    cells = np.array(mate.cells).reshape(-1)
-    return Resolution(tuple(tuple(np.flatnonzero(cells == s).tolist()) for s in range(sq.order)))
+    # Block of cell (r, c) sits at index r*T + c in the sorted block list;
+    # a stable sort of the mate's cells lists each symbol's cells in order.
+    t = sq.order
+    return Resolution(np.argsort(mate.cells, axis=None, kind="stable").reshape(t, t).tolist())
 
 
 def permute_design(d: BlockDesign, image) -> BlockDesign:

@@ -109,9 +109,9 @@ def dual_canonicalize(s: StsInstance) -> tuple[PointPermutation, int]:
 
     Returns (sigma, l) with dual(sigma(s)) exactly the row space of
     generator_gvk(v, l), where l+1 is the dual dimension.  The sentinel
-    l = -1 (trivial dual, identity sigma) cannot occur for a genuine
-    triple system, whose blocks are always orthogonal to the all-one
-    vector; it is kept for defensive completeness.
+    l = -1 (trivial dual, identity sigma) occurs exactly at v = 0, where
+    generator_gvk(0, -1) would raise: for v >= 1 the all-one vector is
+    orthogonal to every block, so the dual is never trivial.
     """
     v = s.v
     d = dual_space(s.design)
