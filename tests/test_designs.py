@@ -225,6 +225,19 @@ def test_are_orthogonal_negative():
     assert not are_orthogonal(main, main)
 
 
+def test_are_orthogonal_matches_the_pair_set():
+    rng = random.Random(5)
+    answers = set()
+    for t in range(1, 8):
+        for _ in range(20):
+            a, b = random_latin(t, rng), random_latin(t, rng)
+            pairs = {(a.cells[r][c], b.cells[r][c]) for r in range(t) for c in range(t)}
+            got = are_orthogonal(a, b)
+            assert got is (len(pairs) == t * t)
+            answers.add(got)
+    assert answers == {True, False}
+
+
 def test_latin_square_equality_and_hash():
     rows = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     from_tuples = LatinSquare(3, rows)
