@@ -167,6 +167,32 @@ def test_verify_resolution_not_a_partition():
     assert not verify_resolution(ag.sts.design, broken).ok
 
 
+def test_resolution_equality_and_hash():
+    classes = ((0, 3, 6), (1, 4), ())
+    from_tuples = Resolution(classes)
+    from_arrays = Resolution([np.array(c, dtype=np.int64) for c in classes])
+    assert from_tuples == from_arrays
+    assert hash(from_tuples) == hash(from_arrays)
+    assert Resolution(np.array([[0, 1], [2, 3]])) == Resolution(((0, 1), (2, 3)))
+    assert len({from_tuples, from_arrays, Resolution(classes[:2])}) == 2
+    assert Resolution(((0, 1),)) != Resolution(((1, 0),))
+    assert Resolution(((0, 1), (2,))) != Resolution(((0,), (1, 2)))
+    assert Resolution(((),)) != Resolution(())
+    assert from_tuples != classes
+
+
+def test_resolution_classes_hold_python_ints():
+    r = Resolution([np.array([4, 0, 2]), np.array([1], dtype=np.int32), [3]])
+    assert r.classes == ((4, 0, 2), (1,), (3,))
+    assert all(type(i) is int for c in r.classes for i in c)
+    assert r.n_classes == 3
+
+
+def test_resolution_rejects_a_nested_class():
+    with pytest.raises(TypeError):
+        Resolution([[[0, 1]]])
+
+
 def test_p_rank_values():
     assert p_rank(affine_geometry(2).sts.design, 3) == 6
     assert p_rank(affine_geometry(3).sts.design, 3) == 23

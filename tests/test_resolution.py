@@ -1,9 +1,15 @@
-"""Resolution search: found, proven absent, and budget-limited outcomes."""
+"""Resolution search: found, proven absent, and budget-limited outcomes;
+verify_resolution against a walk over every index."""
 
+from functools import cache
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trisys.constructions import affine_geometry, small_sts
-from trisys.designs import verify_resolution
+from trisys.constructions import affine_geometry, kts15, small_sts
+from trisys.designs import BlockDesign, Resolution, VerificationReport, verify_resolution
 from trisys.resolution import (
     SearchLimits,
     enumerate_parallel_classes,
@@ -86,3 +92,70 @@ def test_search_is_deterministic():
     b = search_resolution(s.design)
     assert a.resolution == b.resolution
     assert a.nodes_used == b.nodes_used
+
+
+def walk(d, classes):
+    """The resolution check index by index, in class order: the oracle."""
+    violations = []
+    rows = d.array.tolist()
+    n = len(rows)
+    seen = {}
+    for ci, cls in enumerate(classes):
+        pts = []
+        for idx in cls:
+            if not 0 <= idx < n:
+                violations.append(f"class {ci}: block index {idx} out of range")
+                continue
+            if idx in seen:
+                violations.append(f"block index {idx} in classes {seen[idx]} and {ci}")
+            seen[idx] = ci
+            pts.extend(rows[idx])
+        if sorted(pts) != list(range(d.v)):
+            violations.append(f"class {ci} is not a partition of the points")
+    missing = n - len(seen)
+    if missing:
+        violations.append(f"{missing} blocks not covered by any class")
+    return VerificationReport.from_violations(violations)
+
+
+@cache
+def resolved_designs():
+    """(design, classes) pairs whose classes resolve the design."""
+    out = [(BlockDesign(0, ()), ()), (BlockDesign(3, ((0, 1, 2),)), ((0,),))]
+    for k in (1, 2, 3):
+        ag = affine_geometry(k)
+        out.append((ag.sts.design, ag.standard_resolution.classes))
+    s15, r15 = kts15()
+    return tuple(out + [(s15.design, r15.classes)])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_verify_resolution_matches_the_walk(data):
+    d, good = data.draw(st.sampled_from(resolved_designs()))
+    classes = [list(c) for c in good]
+    b = len(d.array)
+    for _ in range(data.draw(st.integers(0, 3))):
+        op = data.draw(st.sampled_from(["drop", "shuffle", "swap", "move", "empty", "index"]))
+        flat = [(i, j) for i, c in enumerate(classes) for j in range(len(c))]
+        if op == "drop" and classes:
+            del classes[data.draw(st.integers(0, len(classes) - 1))]
+        elif op == "shuffle":
+            classes = data.draw(st.permutations(classes))
+        elif op == "swap" and flat:
+            (i, j), (k, m) = data.draw(st.sampled_from(flat)), data.draw(st.sampled_from(flat))
+            classes[i][j], classes[k][m] = classes[k][m], classes[i][j]
+        elif op == "move" and flat and len(classes) > 1:
+            i, j = data.draw(st.sampled_from(flat))
+            classes[data.draw(st.integers(0, len(classes) - 1))].append(classes[i].pop(j))
+        elif op == "empty":
+            classes.insert(data.draw(st.integers(0, len(classes))), [])
+        elif op == "index":
+            idx = data.draw(st.integers(-3, b + 3))
+            if flat:
+                i, j = data.draw(st.sampled_from(flat))
+                classes[i][j] = idx
+            else:
+                classes.append([idx])
+    given_as = [np.array(c, dtype=np.int64) for c in classes] if data.draw(st.booleans()) else classes
+    assert verify_resolution(d, Resolution(given_as)) == walk(d, classes)

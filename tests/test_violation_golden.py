@@ -52,6 +52,10 @@ def td(v, blocks, groups):
     return lambda: verify_td(BlockDesign(v, blocks), groups)
 
 
+def resolution(classes):
+    return lambda: verify_resolution(BlockDesign(3, ((0, 1, 2),)), Resolution(classes))
+
+
 CASES = {
     # BlockDesign: one bad block of each kind, then mixed lists.
     "negative-v": design(-1, ()),
@@ -107,6 +111,13 @@ CASES = {
     "resolution-index-out-of-range": lambda: verify_resolution(
         BlockDesign(3, ((0, 1, 2),)), Resolution(((5,),))
     ),
+    # verify_resolution: repeated, negative and missing indices, empty classes.
+    "resolution-repeated-across-classes": resolution(((0,), (0,))),
+    "resolution-repeated-in-class": resolution(((0, 0),)),
+    "resolution-negative-index": resolution(((-1,),)),
+    "resolution-empty-class": resolution(((),)),
+    "resolution-no-classes": resolution(()),
+    "resolution-v0-empty-class": lambda: verify_resolution(BlockDesign(0, ()), Resolution(((),))),
 }
 
 
@@ -142,6 +153,24 @@ GOLDEN = {
         'class 0 is not a partition of the points',
         '1 blocks not covered by any class',
     )),
+    'resolution-repeated-across-classes': ('report', False, (
+        'block index 0 in classes 0 and 1',
+    )),
+    'resolution-repeated-in-class': ('report', False, (
+        'block index 0 in classes 0 and 0',
+        'class 0 is not a partition of the points',
+    )),
+    'resolution-negative-index': ('report', False, (
+        'class 0: block index -1 out of range',
+        'class 0 is not a partition of the points',
+        '1 blocks not covered by any class',
+    )),
+    'resolution-empty-class': ('report', False, (
+        'class 0 is not a partition of the points',
+        '1 blocks not covered by any class',
+    )),
+    'resolution-no-classes': ('report', False, ('1 blocks not covered by any class',)),
+    'resolution-v0-empty-class': ('report', True, ()),
     'repeated-point': ('raises', 'ValueError', 'block (0, 0, 1) does not have 3 distinct points'),
     'sts-ag2': ('report', True, ()),
     'sts-ag2-minus-block': ('report', False, (
