@@ -183,16 +183,13 @@ def split_standard_resolution(k: int) -> tuple[BlockDesign, Resolution]:
     ag = affine_geometry(k)
     a = ag.sts.array
     inner = a[:, 0] // 3 == a[:, 2] // 3  # a sorted row inside one group of three
-    deleted = next(cls for cls in ag.standard_resolution.classes if 0 in cls)
-    if list(deleted) != np.flatnonzero(inner).tolist():
+    classes = ag.standard_resolution.class_arrays()
+    deleted = next(i for i, cls in enumerate(classes) if 0 in cls)
+    if not np.array_equal(classes.pop(deleted), np.flatnonzero(inner)):
         raise AssertionError("the class of (0,1,2) is not the inner blocks of AG(k)")
-    remainder = BlockDesign(3**k, a[~inner])
-    classes = tuple(
-        tuple(remainder.lookup(a[list(cls)]).tolist())
-        for cls in ag.standard_resolution.classes
-        if cls is not deleted
-    )
-    return remainder, Resolution(classes)
+    # Block i of AG(k) outside the inner class is row rank[i] of the remainder.
+    rank = np.cumsum(~inner) - 1
+    return BlockDesign(3**k, a[~inner]), Resolution([rank[cls] for cls in classes])
 
 
 def compose_resolution(
@@ -211,7 +208,6 @@ def compose_resolution(
     otherwise.
     """
     subs = dec.sub_systems
-    m = 3**dec.t * dec.T
     if len(sub_resolutions) != len(subs):
         raise ValueError("one resolution per sub-system is required")
     for s, r in zip(subs, sub_resolutions):
@@ -230,20 +226,19 @@ def compose_resolution(
     # the resolution's own certificate is the verify_resolution below.
     sub_parts, td_parts = embedded_parts(dec)
     composed = BlockDesign(dec.v, np.concatenate(sub_parts + list(td_parts.values())))
-    # Composed block indices of each part's blocks, in the part's order.
-    sub_index = [composed.lookup(a) for a in sub_parts]
-    td_index = {triple: composed.lookup(a) for triple, a in td_parts.items()}
-    classes = [
-        np.concatenate([idx[list(r.classes[j])] for idx, r in zip(sub_index, sub_resolutions)])
-        for j in range((m - 1) // 2)
-    ]
-    for outer_cls in outer_resolution.classes:
-        triples = [tuple(b) for b in outer.array[list(outer_cls)].tolist()]
-        classes += [
-            np.concatenate([td_index[tr][list(td_resolutions[tr].classes[j])] for tr in triples])
-            for j in range(dec.T)
-        ]
-    resolution = Resolution(tuple(tuple(np.sort(c).tolist()) for c in classes))
+
+    def classes_of(part: np.ndarray, r: Resolution) -> list[np.ndarray]:  # in composed indices
+        index = composed.lookup(part)
+        return [index[c] for c in r.class_arrays()]
+
+    # Class j of every sub-system makes one class, and so does class j of
+    # the TDs on the triples of one outer class.
+    classes = [np.concatenate(cs) for cs in zip(*map(classes_of, sub_parts, sub_resolutions))]
+    td_classes = {tr: classes_of(a, td_resolutions[tr]) for tr, a in td_parts.items()}
+    for outer_cls in outer_resolution.class_arrays():
+        triples = [tuple(b) for b in outer.array[outer_cls].tolist()]
+        classes += [np.concatenate(cs) for cs in zip(*(td_classes[tr] for tr in triples))]
+    resolution = Resolution([np.sort(c) for c in classes])
     verify_resolution(composed, resolution).require(AssertionError, "assembled resolution invalid")
     return resolution
 

@@ -60,10 +60,9 @@ def affine_geometry(k: int) -> AffineGeometry:
     diff = (digits[design.array[:, 1]] - digits[design.array[:, 0]]) % 3
     lead = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]
     direction = (diff * lead[:, None]) % 3 @ weights
-    # The directions in use, ascending; a bare np.unique would import numpy.ma.
-    used = np.flatnonzero(np.bincount(direction))
-    classes = tuple(tuple(np.flatnonzero(direction == d).tolist()) for d in used)
-    resolution = Resolution(classes)
+    # One class per direction in use, ascending, its blocks in index order.
+    order = np.argsort(direction, kind="stable")
+    resolution = Resolution(np.split(order, np.flatnonzero(np.diff(direction[order])) + 1))
     verify_resolution(design, resolution).require(AssertionError, "translation resolution invalid")
     return AffineGeometry(k, sts, resolution)
 

@@ -7,6 +7,10 @@ the sorted 3-tuple view, is computed on each access, for output only, and
 `lookup` finds blocks by binary search on their codes.  The STS and TD
 axioms are one check on the array: every required pair p < q, coded
 p*v + q, must occur in exactly one block.
+A Resolution stores its classes in order as one read-only int64 `index` of
+blocks plus class `bounds` (class i is index[bounds[i]:bounds[i + 1]], since
+untrusted classes may be ragged); verify_resolution decides in one numpy
+pass and walks only a failing resolution, to name its violations in order.
 StsInstance, TdInstance and LatinSquare validate their axioms on
 construction, except the parts valid by construction (_unchecked, called
 from td_from_latin, permute_sts and decompose only); the verify_*
@@ -120,12 +124,12 @@ def incidence_matrix(d: BlockDesign) -> np.ndarray:
     return _characteristic(d.array, d.v)
 
 
-def _pair_faults(v: int, blocks: np.ndarray, required: np.ndarray, name: str) -> list[str]:
+def _pair_faults(v: int, blocks: np.ndarray, name: str, required=None) -> list[str]:
     """Violations of "every required pair lies in exactly one block".
 
     A pair p < q is coded p*v + q.  Every pair of a row of `blocks` must be
-    required; pairs covered more than once are reported first, ascending,
-    then the required pairs covered by no block, in the order given.
+    required (default: all, coded only if one is missing); pairs covered more
+    than once come first, ascending, then the uncovered ones in required's order.
     """
     codes = (blocks[:, [0, 0, 1]] * v + blocks[:, [1, 2, 2]]).ravel()
     covered, counts = np.unique(codes, return_counts=True)
@@ -134,7 +138,9 @@ def _pair_faults(v: int, blocks: np.ndarray, required: np.ndarray, name: str) ->
         f"{name} {divmod(c, v)} covered {n} times"
         for c, n in zip(covered[over].tolist(), counts[over].tolist())
     ]
-    if covered.size < required.size:
+    if covered.size < (v * (v - 1) // 2 if required is None else required.size):
+        if required is None:
+            required = np.ravel_multi_index(np.triu_indices(v, 1), (v, v))
         missing = required[~np.isin(required, covered)]
         faults += [f"{name} {divmod(c, v)} covered 0 times" for c in missing.tolist()]
     return faults
@@ -142,8 +148,7 @@ def _pair_faults(v: int, blocks: np.ndarray, required: np.ndarray, name: str) ->
 
 def verify_sts(d: BlockDesign) -> VerificationReport:
     """Check the pair-coverage axiom: every pair in exactly one block."""
-    p, q = np.triu_indices(d.v, 1)
-    return VerificationReport.from_violations(_pair_faults(d.v, d.array, p * d.v + q, "pair"))
+    return VerificationReport.from_violations(_pair_faults(d.v, d.array, "pair"))
 
 
 class _DesignView:
@@ -197,7 +202,7 @@ def verify_td(design: BlockDesign, groups: tuple[tuple[int, ...], ...]) -> Verif
     # Cross pairs group pair by group pair, in the order the groups list them.
     p, q = g[[0, 0, 1], :, None], g[[1, 2, 2], None, :]
     cross = (np.minimum(p, q) * design.v + np.maximum(p, q)).ravel()
-    violations += _pair_faults(design.v, design.array[transversal], cross, "cross pair")
+    violations += _pair_faults(design.v, design.array[transversal], "cross pair", cross)
     if len(design.array) != w * w:
         violations.append(f"expected {w * w} blocks, got {len(design.array)}")
     return VerificationReport.from_violations(violations)
@@ -231,27 +236,60 @@ def _unchecked(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Resolution:
-    """Parallel classes as tuples of block indices into the owning design."""
+    """Parallel classes of block indices into the owning design, given as
+    sequences or 1-D arrays; `classes` is a tuple view computed on access."""
 
-    classes: tuple[tuple[int, ...], ...]
+    index: np.ndarray
+    bounds: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "classes", tuple(tuple(int(i) for i in c) for c in self.classes)
-        )
+    def __init__(self, classes):
+        parts = [np.asarray(c, dtype=np.int64) for c in classes]
+        if any(c.ndim != 1 for c in parts):
+            raise TypeError("a class must be a flat sequence of block indices")
+        index = np.concatenate([np.zeros(0, dtype=np.int64), *parts])
+        bounds = np.cumsum([0, *map(len, parts)])
+        index.flags.writeable = bounds.flags.writeable = False
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "bounds", bounds)
+
+    def class_arrays(self) -> list[np.ndarray]:
+        """The classes in order, as read-only views of `index`."""
+        b = self.bounds.tolist()
+        return [self.index[i:j] for i, j in zip(b, b[1:])]
+
+    @property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(c.tolist()) for c in self.class_arrays())
 
     @property
     def n_classes(self) -> int:
-        return len(self.classes)
+        return len(self.bounds) - 1
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Resolution):
+            return NotImplemented
+        return np.array_equal(self.index, other.index) and np.array_equal(self.bounds, other.bounds)
+
+    def __hash__(self) -> int:
+        return hash((self.index.tobytes(), self.bounds.tobytes()))
 
 
 def verify_resolution(d: BlockDesign, r: Resolution) -> VerificationReport:
     """Check that each class partitions the points and the classes the blocks."""
+    index, n, v = r.index, len(d.array), d.v
+    # Ranges first, since a gather wraps a negative index; then each block in
+    # one class, v/3 blocks per class, and each class's sorted points 0..v-1.
+    if (
+        ((index >= 0) & (index < n)).all()
+        and (np.bincount(index, minlength=n) == 1).all()
+        and (3 * np.diff(r.bounds) == v).all()
+        and (np.sort(d.array[index].reshape(r.n_classes, v), axis=1) == np.arange(v)).all()
+    ):
+        return VerificationReport(True)
     violations = []
     rows = d.array.tolist()
-    n = len(rows)
     seen: dict[int, int] = {}
     for ci, cls in enumerate(r.classes):
         pts: list[int] = []
@@ -263,11 +301,10 @@ def verify_resolution(d: BlockDesign, r: Resolution) -> VerificationReport:
                 violations.append(f"block index {idx} in classes {seen[idx]} and {ci}")
             seen[idx] = ci
             pts.extend(rows[idx])
-        if sorted(pts) != list(range(d.v)):
+        if sorted(pts) != list(range(v)):
             violations.append(f"class {ci} is not a partition of the points")
-    missing = n - len(seen)
-    if missing:
-        violations.append(f"{missing} blocks not covered by any class")
+    if len(seen) < n:
+        violations.append(f"{n - len(seen)} blocks not covered by any class")
     return VerificationReport.from_violations(violations)
 
 
@@ -358,7 +395,7 @@ def resolve_td(sq: LatinSquare, mate: LatinSquare) -> Resolution:
     # Block of cell (r, c) sits at index r*T + c in the sorted block list;
     # a stable sort of the mate's cells lists each symbol's cells in order.
     t = sq.order
-    return Resolution(np.argsort(mate.cells, axis=None, kind="stable").reshape(t, t).tolist())
+    return Resolution(np.argsort(mate.cells, axis=None, kind="stable").reshape(t, t))
 
 
 def permute_design(d: BlockDesign, image) -> BlockDesign:
@@ -380,6 +417,4 @@ def transport_resolution(d: BlockDesign, r: Resolution, image) -> Resolution:
     img = list(image)
     moved = permute_design(d, img)
     pos = moved.lookup(np.sort(np.array(img, dtype=np.int64)[d.array], axis=1))
-    return Resolution(
-        tuple(tuple(np.sort(pos[list(cls)]).tolist()) for cls in r.classes)
-    )
+    return Resolution([np.sort(pos[c]) for c in r.class_arrays()])

@@ -137,8 +137,7 @@ def td_record(td: TdInstance) -> DesignFileRecord:
 
 
 def resolution_record(d: BlockDesign, r: Resolution) -> DesignFileRecord:
-    blocks = d.blocks
-    classes = tuple(tuple(blocks[i] for i in cls) for cls in r.classes)
+    classes = tuple(tuple(map(tuple, d.array[c].tolist())) for c in r.class_arrays())
     return DesignFileRecord("resolution", d.v, None, None, (), classes)
 
 
@@ -155,4 +154,4 @@ def resolution_from_record(rec: DesignFileRecord, d: BlockDesign) -> Resolution:
     except KeyError as exc:
         raise ValueError(f"resolution references unknown block {exc.args[0]}") from exc
     ends = np.cumsum([len(cls) for cls in rec.classes], dtype=np.intp)
-    return Resolution(tuple(tuple(np.sort(c).tolist()) for c in np.split(pos, ends)[:-1]))
+    return Resolution([np.sort(c) for c in np.split(pos, ends)[:-1]])

@@ -71,8 +71,7 @@ def search_resolution(d: BlockDesign, limits: SearchLimits | None = None) -> Sea
     res_b = solve_exact_cover(len(d.array), classes, max_solutions=1, node_budget=remaining)
     nodes = nodes_a + res_b.nodes
     if res_b.solutions:
-        chosen = sorted(classes[i] for i in res_b.solutions[0])
-        resolution = Resolution(tuple(chosen))
+        resolution = Resolution(sorted(classes[i] for i in res_b.solutions[0]))
         verify_resolution(d, resolution).require(
             AssertionError, "search produced an invalid resolution"
         )
