@@ -38,6 +38,23 @@ COMPOSE_DIGESTS = {
         "v=81 blocks=1080 rank3=78 resolution=none",
         "b9aa401f5ad4320f8b897b518a0ec45686637c53c210eb40e76e51abdb29eac2",
     ),
+    # Recorded while the summary rank came from p_rank of the whole system.
+    (2, 7, 1, 1): (
+        "v=63 blocks=651 rank3=60 resolution=none",
+        "54430fae070f51e4de456a66574299a46b03ae75a71249e16eb750229fc66fad",
+    ),
+    (3, 7, 2, 1): (
+        "v=189 blocks=5922 rank3=185 resolution=none",
+        "1238b2e30da8754a7af4835e125a6307addbbf5f97c2a38c89d9fc503a2dfbc4",
+    ),
+    (2, 9, 0, 1): (
+        "v=81 blocks=1080 rank3=78 resolution=none",
+        "b9aa401f5ad4320f8b897b518a0ec45686637c53c210eb40e76e51abdb29eac2",
+    ),
+    (2, 13, 0, 1): (
+        "v=117 blocks=2262 rank3=114 resolution=none",
+        "fec080cf0c7ed4a2d5c2527976ae7edfb6eb3e5e5334605ff124e6900b2fb805",
+    ),
 }
 
 FORCED_DIGEST = "3a29c8b548c897e81ccfe7ebc3fc2033106673acac5f1e95d532eaf5f4fb66f6"
@@ -128,6 +145,15 @@ VERIFY_LINES = {
     '{"check":"orthogonal","ok":true},{"check":"rank-2","ok":true,"value":189}]}',
     ("forced-189", 5): '{"ok":true,"checks":[{"check":"sts-axioms","ok":true},'
     '{"check":"orthogonal","ok":true},{"check":"rank-5","ok":true,"value":189}]}',
+    # Recorded while every rank came from the whole system's verified sample.
+    ("forced-189", 7): '{"ok":true,"checks":[{"check":"sts-axioms","ok":true},'
+    '{"check":"orthogonal","ok":true},{"check":"rank-7","ok":true,"value":189}]}',
+    ("compose-63", 2): '{"ok":true,"checks":[{"check":"sts-axioms","ok":true},'
+    '{"check":"orthogonal","ok":true},{"check":"rank-2","ok":true,"value":63}]}',
+    ("compose-63", 3): '{"ok":true,"checks":[{"check":"sts-axioms","ok":true},'
+    '{"check":"orthogonal","ok":true},{"check":"rank-3","ok":true,"value":60}]}',
+    ("compose-63", 5): '{"ok":true,"checks":[{"check":"sts-axioms","ok":true},'
+    '{"check":"orthogonal","ok":true},{"check":"rank-5","ok":true,"value":63}]}',
     ("ag-27", 3): '{"ok":true,"checks":[{"check":"sts-axioms","ok":true},'
     '{"check":"orthogonal","ok":true},{"check":"rank-3","ok":true,"value":23}]}',
     ("ag-27", 2): '{"ok":true,"checks":[{"check":"sts-axioms","ok":true},'
@@ -139,15 +165,19 @@ VERIFY_LINES = {
 
 @pytest.fixture(scope="module")
 def verify_inputs(tmp_path_factory):
-    """The force-rank file of (k, T, seed) = (3, 7, 1) and the AG(3) file,
-    each with the V,K its `--orthogonal-to` names."""
+    """The force-rank file of (k, T, seed) = (3, 7, 1), the compose file of
+    (k, T, t, seed) = (2, 7, 1, 1) and the AG(3) file, each with the V,K its
+    `--orthogonal-to` names."""
     d = tmp_path_factory.mktemp("verify")
     assert main(["construct", "compose", "--k", "3", "--T", "7", "--seed", "1",
                  "--out", str(d / "c")]) == 0
+    assert main(["construct", "compose", "--k", "2", "--T", "7", "--t", "1", "--seed", "1",
+                 "--out", str(d / "c63")]) == 0
     assert main(["construct", "force-rank", "--in", str(d / "c.sts.jsonl"),
                  "--out", str(d / "forced")]) == 0
     assert main(["construct", "ag", "--k", "3", "--out", str(d / "ag3")]) == 0
     return {"forced-189": (d / "forced.sts.jsonl", "189,3"),
+            "compose-63": (d / "c63.sts.jsonl", "63,2"),
             "ag-27": (d / "ag3.sts.jsonl", "27,3")}
 
 
