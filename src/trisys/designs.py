@@ -20,6 +20,19 @@ Ranks and dual spaces are exact without the b x v incidence matrix M: the
 null space N of a stride sample of min(b, 2v) blocks contains null(M), and
 equals it once every block is orthogonal to N (one gather checks all); a
 failing block raises the sample's rank, so regrowing by failing blocks ends.
+The same loop runs in the coordinates of a span W (N x v) known to contain
+null(M): a block becomes its N sums over W's rows, the sample has min(b, 2N)
+blocks, and the null basis x maps back as x @ W.  For a system S composed
+from sub-systems (composition.span_null_basis), W stacks the rows of each
+sub-system's dual placed on its super-group's points (identity rows on a
+super-group whose sub-system S leaves out).  W contains dual(S): the
+blocks of sub-system j lie in its super-group, so any y in dual(S),
+restricted to those points, is orthogonal to all of them and lies in
+dual(sub_j); and y is the sum of its restrictions, since the super-groups
+partition the points.  W's rows are independent, since rows of different
+groups have disjoint supports and each group's rows are a basis of its
+dual; so x -> x @ W is injective, the mapped basis is independent, and v
+minus its length stays the rank.
 """
 
 from __future__ import annotations
@@ -308,30 +321,42 @@ def verify_resolution(d: BlockDesign, r: Resolution) -> VerificationReport:
     return VerificationReport.from_violations(violations)
 
 
-def _verified_null_basis(d: BlockDesign, p: int) -> np.ndarray:
-    """Rows spanning the x with every block of d summing to 0 mod p (module
-    docstring); the first elimination always runs, so p is always checked."""
+def _verified_null_basis(d: BlockDesign, p: int, span: np.ndarray | None = None) -> np.ndarray:
+    """Independent rows spanning the x with every block of d summing to 0
+    mod p, inside the row space of span, which must contain them all
+    (module docstring); no span means all of GF(p)^v."""
+    gf3._check_prime(p)
     a, v = d.array, d.v
-    m = _characteristic(a if len(a) <= 2 * v else a[np.arange(2 * v) * len(a) // (2 * v)], v)
+    n = v if span is None else len(span)
+
+    def rows(blocks: np.ndarray) -> np.ndarray:  # each block's sums over span's rows
+        return _characteristic(blocks, v) if span is None else span[:, blocks].sum(axis=2).T % p
+
+    m = rows(a if len(a) <= 2 * n else a[np.arange(2 * n) * len(a) // (2 * n)])
     while True:
         r, pivots = gf3.rref(m, p)
         basis = gf3.null_basis(r, pivots, p)
+        if span is not None:
+            basis = basis @ span % p
         failing = np.flatnonzero((basis[:, a].sum(axis=2) % p).any(axis=0))
         if not failing.size:
             return basis
-        # The reduced rows plus at most dim failing blocks: at most v rows.
-        m = np.vstack([r[: len(pivots)], _characteristic(a[failing[: len(basis)]], v)])
+        # The reduced rows plus at most dim failing blocks: at most n rows.
+        m = np.vstack([r[: len(pivots)], rows(a[failing[: len(basis)]])])
 
 
 def p_rank(d: BlockDesign, p: int) -> int:
     """Rank over GF(p) of the incidence matrix, exactly: v minus the dimension
-    of the sample's null space once every block passes (module docstring)."""
+    of the sample's null space once every block passes (module docstring).
+    It eliminates in all v unknowns, for any design; span_null_basis in
+    composition does it inside a composed system's sub-system dual span."""
     return d.v - len(_verified_null_basis(d, p))
 
 
 def dual_space(d: BlockDesign) -> gf3.Subspace:
     """The GF(3) dual, all vectors orthogonal to every block: exactly the
-    sample's null space once every block passes (module docstring)."""
+    sample's null space once every block passes (module docstring), in all
+    v unknowns, as p_rank is."""
     return gf3.Subspace.from_rows(_verified_null_basis(d, 3), d.v)
 
 

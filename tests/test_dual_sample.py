@@ -2,9 +2,12 @@
 
 `dual_space` and `p_rank` never eliminate the whole incidence matrix; the
 dense `null_space(incidence_matrix(d))` and `rank(incidence_matrix(d), p)`
-serve here as the oracle they must match exactly.
+serve here as the oracle they must match exactly.  The span route for
+composed systems, `span_null_basis`, must in turn match `dual_space` and
+`p_rank`.
 """
 
+import functools
 import json
 import os
 import random
@@ -19,7 +22,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from trisys import gf3
-from trisys.composition import compose, decompose, random_decomposition
+from trisys.cli import main
+from trisys.composition import (
+    compose,
+    decompose,
+    embedded_parts,
+    random_decomposition,
+    span_null_basis,
+)
 from trisys.constructions import affine_geometry
 from trisys.designs import BlockDesign, dual_space, incidence_matrix, p_rank
 from trisys.rankfix import force_exact_rank
@@ -160,3 +170,59 @@ def test_verify_rank_non_prime_exits_2(tmp_path):
     assert ok.returncode == 0
     # The Fano incidence matrix has determinant 24, so its 3-rank is 6.
     assert json.loads(ok.stdout)["checks"][-1] == {"check": "rank-3", "ok": True, "value": 6}
+
+
+@functools.cache
+def composed(k: int, T: int, t: int, seed: int):
+    """A seeded decomposition, its composed system, and its B- (every block
+    but the first sub-system's)."""
+    dec = random_decomposition(k, T, random.Random(seed), t)
+    subs, tds = embedded_parts(dec)
+    b_minus = BlockDesign(dec.v, np.concatenate([np.zeros((0, 3), int), *subs[1:], *tds.values()]))
+    return dec, compose(dec).design, b_minus
+
+
+@st.composite
+def composed_cases(draw):
+    k = draw(st.integers(1, 3))
+    t = draw(st.integers(0, min(k, 2)))
+    return composed(k, draw(st.sampled_from([7, 9, 13])), t, draw(st.integers(0, 2)))
+
+
+def assert_span_route_matches(d: BlockDesign, basis: np.ndarray, p: int) -> None:
+    assert d.v - len(basis) == p_rank(d, p)
+    if p == 3:
+        assert gf3.Subspace.from_rows(basis, d.v) == dual_space(d)
+
+
+SPAN_SETTINGS = settings(max_examples=50, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+@SPAN_SETTINGS
+@given(composed_cases(), st.sampled_from(PRIMES))
+def test_span_route_matches_plain_route(case, p):
+    dec, d, _ = case
+    assert_span_route_matches(d, span_null_basis(d, dec, p), p)
+
+
+@SPAN_SETTINGS
+@given(composed_cases(), st.sampled_from(PRIMES))
+def test_span_route_with_first_group_free_matches_on_b_minus(case, p):
+    dec, _, b_minus = case
+    assert_span_route_matches(b_minus, span_null_basis(b_minus, dec, p, first_free=True), p)
+
+
+def test_no_v_by_v_elimination_on_composed_input_at_v189(tmp_path, monkeypatch, capsys):
+    # The compose summary, force-rank and verify --orthogonal-to --rank 3
+    # each rank a v = 189 system inside its sub-systems' dual span.
+    v, c, f = 189, tmp_path / "c", tmp_path / "f"
+    seen = record_rref(monkeypatch)
+    for argv in (["construct", "compose", "--k", "3", "--T", "7", "--seed", "1", "--out", str(c)],
+                 ["construct", "force-rank", "--in", f"{c}.sts.jsonl", "--out", str(f)],
+                 ["verify", f"{f}.sts.jsonl", "--orthogonal-to", f"{v},3", "--rank", "3"]):
+        start = len(seen)
+        assert main(argv) == 0
+        assert len(seen) > start
+    assert capsys.readouterr().out.count("185") == 3
+    assert not [m.shape for m in seen if m.shape[0] >= v and m.shape[1] >= v]

@@ -290,14 +290,16 @@ def test_force_exact_rank_dense_oracle(k, T, seed):
 
 
 def test_force_exact_rank_eliminates_one_v_point_design(monkeypatch):
+    # B-'s dual is eliminated inside its sub-systems' dual span.
     dec = random_decomposition(2, 7, random.Random(17))
     seen = []
+    span_null_basis = rankfix.span_null_basis
 
-    def counting(d):
+    def counting(d, *args, **kwargs):
         seen.append(d.v)
-        return dual_space(d)
+        return span_null_basis(d, *args, **kwargs)
 
-    monkeypatch.setattr(rankfix, "dual_space", counting)
+    monkeypatch.setattr(rankfix, "span_null_basis", counting)
     force_exact_rank(dec)
     assert seen.count(dec.v) == 1
 
