@@ -16,13 +16,14 @@ import sys
 
 from . import gf3
 from .bounds import bound_rcw, bound_thm1, bound_thm1prime, bound_thm2
-from .composition import compose, decompose, random_decomposition, span_null_basis
+from .composition import compose, decompose, random_decomposition
 from .constructions import affine_geometry, small_sts
 from .designs import (
     BlockDesign,
     StsInstance,
     VerificationReport,
     p_rank,
+    span_null_basis,
     verify_resolution,
     verify_sts,
     verify_td,
@@ -75,15 +76,16 @@ def _cmd_construct(args) -> int:
             raise ValueError("--k must be >= 1 and --T admissible (1 or 3 mod 6)")
         if not 0 <= args.t <= args.k:
             raise ValueError("--t must satisfy 0 <= t <= k")
-        dec = random_decomposition(args.k, args.T, random.Random(args.seed), args.t)
-        s = compose(dec)
+        s = compose(
+            random_decomposition(args.k, args.T, random.Random(args.seed), args.t)
+        )
         out = out or (
             f"compose-k{args.k}-T{args.T}"
             + (f"-t{args.t}" if args.t else "")
             + f"-seed{args.seed}"
         )
         write_design(f"{out}.sts.jsonl", sts_record(s, k=args.k, t=args.T, kind="decomposition"))
-        print(_summary(s, s.v - len(span_null_basis(s.design, dec, 3)), False))
+        print(_summary(s, s.v - len(span_null_basis(s.design, 3**args.t * args.T, 3)), False))
     elif args.what == "force-rank":
         rec = read_design(args.infile)
         if rec.kind != "decomposition" or rec.k is None:
@@ -161,7 +163,7 @@ def _cmd_verify(args) -> int:
         # checks with a named violation, not parameter errors.
         return _print_report([_entry("well-formed", VerificationReport(False, (str(exc),)))])
     del rec  # only the design is needed from here on
-    composed_k = None  # k once the design is a checked STS orthogonal to G(v, k), k >= 1
+    group = 1  # v / 3^k once the design is orthogonal to G(v, k): its sub-system order
 
     if args.resolution:
         rrec = read_design(args.resolution)
@@ -182,16 +184,15 @@ def _cmd_verify(args) -> int:
         else:
             code = gf3.row_space(gf3.generator_gvk(v_target, k_target))
             rep = VerificationReport(gf3.is_orthogonal(design, code))
-            if rep.ok and k_target >= 1 and checks[0] == {"check": "sts-axioms", "ok": True}:
-                composed_k = k_target
+            if rep.ok:
+                group = v_target // 3**k_target
         checks.append(_entry("orthogonal", rep))
 
     if args.rank is not None:
-        if composed_k is None:
+        if group == 1:
             r = p_rank(design, args.rank)
         else:
-            dec = decompose(StsInstance(design), composed_k)
-            r = design.v - len(span_null_basis(design, dec, args.rank))
+            r = design.v - len(span_null_basis(design, group, args.rank))
         checks.append({"check": f"rank-{args.rank}", "ok": True, "value": r})
 
     return _print_report(checks)

@@ -33,7 +33,6 @@ from .designs import (
     StsInstance,
     TdInstance,
     _unchecked,
-    _verified_null_basis,
     canonical_td_groups,
     permute_sts,
     td_from_latin,
@@ -159,28 +158,6 @@ def decompose(s: StsInstance, k: int) -> Decomposition:
         for triple, b in zip(ag_blocks(k), np.split(local, np.arange(t * t, len(local), t * t)))
     }
     return Decomposition(k=k, T=t, sub_systems=subs, tds=tds)
-
-
-def span_null_basis(
-    d: BlockDesign, dec: Decomposition, p: int, first_free: bool = False
-) -> np.ndarray:
-    """What _verified_null_basis(d, p) returns, found in the span W of the
-    GF(p) duals of dec's sub-systems, each on its super-group's points
-    (designs module docstring).  d must hold every embedded block of every
-    sub-system, except the first one's when first_free: W then leaves the
-    first super-group's points free.  Sub-systems of one point have the
-    whole line as dual, so there W would be the identity: the plain route
-    runs instead."""
-    m = 3**dec.t * dec.T
-    if m == 1:
-        return _verified_null_basis(d, p)
-    parts = [np.eye(m, dtype=np.int64) if first_free and j == 0
-             else _verified_null_basis(sub.design, p) for j, sub in enumerate(dec.sub_systems)]
-    row = np.cumsum([0, *map(len, parts)])
-    span = np.zeros((row[-1], dec.v), dtype=np.int64)
-    for j, part in enumerate(parts):
-        span[row[j]:row[j + 1], j * m:(j + 1) * m] = part
-    return _verified_null_basis(d, p, span)
 
 
 def split_ag(k: int, t: int) -> tuple[list[list[Block]], list[Block]]:

@@ -18,8 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf3
-from .composition import Decomposition, embedded_parts, span_null_basis
-from .designs import BlockDesign, StsInstance, dual_space, permute_design, permute_sts
+from .composition import Decomposition, embedded_parts
+from .designs import (
+    BlockDesign,
+    StsInstance,
+    dual_space,
+    permute_design,
+    permute_sts,
+    span_null_basis,
+)
 
 
 class StructureViolation(ValueError):
@@ -200,12 +207,11 @@ def force_exact_rank(d: Decomposition) -> StsInstance:
     all blocks outside the first group stay untouched.  The dual space of
     the result is never trusted: it is derived exactly from the dual of
     the blocks outside the first group, its one v-point dual (by
-    span_null_basis: free on the first group, and inside each other
-    sub-system's dual on its group), as the vectors of that dual
+    span_null_basis over groups of T points), as the vectors of that dual
     orthogonal to every block of the new sub-system, and compared with
-    the row space of G(v, k); rank v-k-1 follows by rank-nullity.  The returned StsInstance is the one
-    pair-coverage check of a v-point system.  Defined for the plain
-    grouping (t = 0) only.
+    the row space of G(v, k); rank v-k-1 follows by rank-nullity.  The
+    returned StsInstance is the one pair-coverage check of a v-point
+    system.  Defined for the plain grouping (t = 0) only.
     """
     k, t_order = d.k, d.T
     if d.t != 0:
@@ -217,8 +223,7 @@ def force_exact_rank(d: Decomposition) -> StsInstance:
     v = d.v
     subs, tds = embedded_parts(d)
     b_minus = BlockDesign(v, np.concatenate(subs[1:] + list(tds.values())))
-    # B- holds every block of sub-systems 1.. and none on the first group.
-    dual_minus = gf3.Subspace.from_rows(span_null_basis(b_minus, d, 3, first_free=True), v)
+    dual_minus = gf3.Subspace.from_rows(span_null_basis(b_minus, t_order, 3), v)
     layout = gf3.generator_gvk(v, k)
     # Rows extending the layout code to a basis of the bigger dual.
     extension = _extend_basis(layout, dual_minus)

@@ -4,7 +4,7 @@
 dense `null_space(incidence_matrix(d))` and `rank(incidence_matrix(d), p)`
 serve here as the oracle they must match exactly.  The span route for
 composed systems, `span_null_basis`, must in turn match `dual_space` and
-`p_rank`.
+`p_rank`, on composed systems and on any design.
 """
 
 import functools
@@ -21,17 +21,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trisys import gf3
+from trisys import cli, designs, gf3
 from trisys.cli import main
-from trisys.composition import (
-    compose,
-    decompose,
-    embedded_parts,
-    random_decomposition,
-    span_null_basis,
-)
+from trisys.composition import compose, decompose, embedded_parts, random_decomposition
 from trisys.constructions import affine_geometry
-from trisys.designs import BlockDesign, dual_space, incidence_matrix, p_rank
+from trisys.designs import BlockDesign, dual_space, incidence_matrix, p_rank, span_null_basis
 from trisys.rankfix import force_exact_rank
 
 PRIMES = (2, 3, 5, 7)
@@ -203,15 +197,48 @@ SPAN_SETTINGS = settings(max_examples=50, deadline=None,
 @given(composed_cases(), st.sampled_from(PRIMES))
 def test_span_route_matches_plain_route(case, p):
     dec, d, _ = case
-    assert_span_route_matches(d, span_null_basis(d, dec, p), p)
+    assert_span_route_matches(d, span_null_basis(d, 3**dec.t * dec.T, p), p)
 
 
 @SPAN_SETTINGS
 @given(composed_cases(), st.sampled_from(PRIMES))
 def test_span_route_with_first_group_free_matches_on_b_minus(case, p):
     dec, _, b_minus = case
-    assert_span_route_matches(b_minus, span_null_basis(b_minus, dec, p, first_free=True), p)
+    assert_span_route_matches(b_minus, span_null_basis(b_minus, 3**dec.t * dec.T, p), p)
 
+
+
+@SETTINGS
+@given(st.one_of(triple_sets(), sub_designs()), st.integers(1, 27), st.sampled_from(PRIMES))
+def test_span_route_matches_plain_route_on_any_design(d, m, p):
+    # W contains the dual for any grouping of any design, not only for a
+    # composed system grouped by its sub-systems.
+    assert_span_route_matches(d, span_null_basis(d, m, p), p)
+
+
+def test_verify_rank_eliminates_per_group_then_once(tmp_path, monkeypatch, capsys):
+    # verify --orthogonal-to v,k --rank eliminates each group of v / 3^k
+    # points and the system once, and when 3^k = v, the system alone: it
+    # neither decomposes nor re-checks the design.
+    assert main(["construct", "ag", "--k", "3", "--out", str(tmp_path / "ag")]) == 0
+    assert main(["construct", "compose", "--k", "2", "--T", "7", "--seed", "1",
+                 "--out", str(tmp_path / "c")]) == 0
+    seen = []
+    verified_null_basis = designs._verified_null_basis
+
+    def recording(d, *args):
+        seen.append(d.v)
+        return verified_null_basis(d, *args)
+
+    monkeypatch.setattr(designs, "_verified_null_basis", recording)
+    monkeypatch.setattr(cli, "decompose", None)
+    monkeypatch.setattr(designs.StsInstance, "__post_init__", None)
+    for name, target, want in (("ag", "27,3", [27]), ("c", "63,2", [7] * 9 + [63])):
+        seen.clear()
+        argv = ["verify", f"{tmp_path / name}.sts.jsonl", "--orthogonal-to", target, "--rank", "3"]
+        assert main(argv) == 0
+        assert seen == want
+    capsys.readouterr()
 
 def test_no_v_by_v_elimination_on_composed_input_at_v189(tmp_path, monkeypatch, capsys):
     # The compose summary, force-rank and verify --orthogonal-to --rank 3

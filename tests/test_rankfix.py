@@ -293,13 +293,15 @@ def test_force_exact_rank_eliminates_one_v_point_design(monkeypatch):
     # B-'s dual is eliminated inside its sub-systems' dual span.
     dec = random_decomposition(2, 7, random.Random(17))
     seen = []
-    span_null_basis = rankfix.span_null_basis
 
-    def counting(d, *args, **kwargs):
-        seen.append(d.v)
-        return span_null_basis(d, *args, **kwargs)
+    def counting(f):
+        def wrapper(d, *args):
+            seen.append(d.v)
+            return f(d, *args)
+        return wrapper
 
-    monkeypatch.setattr(rankfix, "span_null_basis", counting)
+    for name in ("dual_space", "span_null_basis"):
+        monkeypatch.setattr(rankfix, name, counting(getattr(rankfix, name)))
     force_exact_rank(dec)
     assert seen.count(dec.v) == 1
 
