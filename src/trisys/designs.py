@@ -347,13 +347,13 @@ def _verified_null_basis(d: BlockDesign, p: int, span: np.ndarray | None = None)
 
 
 def span_null_basis(d: BlockDesign, m: int, p: int) -> np.ndarray:
-    """Rows spanning what _verified_null_basis(d, p) spans, found inside the
-    span of the duals of d's blocks within each group of m points (module
-    docstring).  With no block inside a group, that span is all of GF(p)^v,
-    and the plain route runs."""
+    """Independent rows spanning what _verified_null_basis(d, p) spans,
+    found inside the span of the duals of d's blocks within each group of m
+    points (module docstring).  Where that span is all of GF(p)^v, as when
+    no block lies inside a group, the plain route runs."""
     gf3._check_prime(p)
     a, v = d.array, d.v
-    if m >= 3 and m < v:
+    if 3 <= m < v:
         # Rows are sorted, so a block whose first and last points share a
         # group lies inside it; the array's order keeps groups contiguous.
         inner = a[a[:, 0] // m == a[:, 2] // m]
