@@ -6,6 +6,7 @@ tests show the merged code writes exactly the same files.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -188,6 +189,31 @@ def test_verify_rank_report_golden(verify_inputs, capsys, case):
     capsys.readouterr()
     assert main(["verify", str(path), "--orthogonal-to", vk, "--rank", str(p)]) == 0
     assert capsys.readouterr().out.strip() == VERIFY_LINES[case]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", ["ag-27", "compose-63", "forced-189"])
+def test_verify_rank_without_layout_check_golden(verify_inputs, capsys, name, p):
+    # With no --orthogonal-to, the report is the same but for that check.
+    path, _ = verify_inputs[name]
+    capsys.readouterr()
+    assert main(["verify", str(path), "--rank", str(p)]) == 0
+    want = [c for c in json.loads(VERIFY_LINES[name, p])["checks"] if c["check"] != "orthogonal"]
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "checks": want}
+
+
+# `construct ag --k K` summary lines: 3-rank 3^k - k - 1.
+AG_SUMMARIES = {
+    4: "v=81 blocks=1080 rank3=76 resolution=attached",
+    5: "v=243 blocks=9801 rank3=237 resolution=attached",
+    6: "v=729 blocks=88452 rank3=722 resolution=attached",
+}
+
+
+@pytest.mark.parametrize("k", sorted(AG_SUMMARIES))
+def test_construct_ag_summary_golden(tmp_path, capsys, k):
+    assert main(["construct", "ag", "--k", str(k), "--out", str(tmp_path / "ag")]) == 0
+    assert capsys.readouterr() == (AG_SUMMARIES[k] + "\n", "")
 
 
 # `construct sts --T T` summary lines and files, recorded while the stock
