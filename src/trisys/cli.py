@@ -23,7 +23,6 @@ from .designs import (
     StsInstance,
     VerificationReport,
     p_rank,
-    span_null_basis,
     verify_resolution,
     verify_sts,
     verify_td,
@@ -85,7 +84,7 @@ def _cmd_construct(args) -> int:
             + f"-seed{args.seed}"
         )
         write_design(f"{out}.sts.jsonl", sts_record(s, k=args.k, t=args.T, kind="decomposition"))
-        print(_summary(s, s.v - len(span_null_basis(s.design, 3**args.t * args.T, 3)), False))
+        print(_summary(s, p_rank(s.design, 3), False))
     elif args.what == "force-rank":
         rec = read_design(args.infile)
         if rec.kind != "decomposition" or rec.k is None:
@@ -163,7 +162,6 @@ def _cmd_verify(args) -> int:
         # checks with a named violation, not parameter errors.
         return _print_report([_entry("well-formed", VerificationReport(False, (str(exc),)))])
     del rec  # only the design is needed from here on
-    group = 1  # v / 3^k once the design is orthogonal to G(v, k): its sub-system order
 
     if args.resolution:
         rrec = read_design(args.resolution)
@@ -184,15 +182,10 @@ def _cmd_verify(args) -> int:
         else:
             code = gf3.row_space(gf3.generator_gvk(v_target, k_target))
             rep = VerificationReport(gf3.is_orthogonal(design, code))
-            if rep.ok:
-                group = v_target // 3**k_target
         checks.append(_entry("orthogonal", rep))
 
     if args.rank is not None:
-        if group == 1:
-            r = p_rank(design, args.rank)
-        else:
-            r = design.v - len(span_null_basis(design, group, args.rank))
+        r = p_rank(design, args.rank)
         checks.append({"check": f"rank-{args.rank}", "ok": True, "value": r})
 
     return _print_report(checks)

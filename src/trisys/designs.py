@@ -20,20 +20,22 @@ Ranks and dual spaces are exact without the b x v incidence matrix M: the
 null space N of a stride sample of min(b, 2v) blocks contains null(M), and
 equals it once every block is orthogonal to N (one gather checks all); a
 failing block raises the sample's rank, so regrowing by failing blocks ends.
-The same loop runs in the coordinates of a span W (N x v) known to contain
-null(M): a block becomes its N sums over W's rows, the sample has min(b, 2N)
-blocks, and the null basis x maps back as x @ W.  span_null_basis(d, m, p)
-cuts the points into consecutive groups of m and stacks, for each group, a
-basis of the dual of d's blocks inside it, placed on its points (identity
-rows on a group holding none).  W contains null(M): a block inside group j
-meets no other group, so any y in null(M), restricted to group j, is
-orthogonal to it; and y is the sum of its restrictions, since the groups
-partition the points.  W's rows are independent, since rows of different
-groups have disjoint supports and each group's rows are a basis; so
-x -> x @ W is injective, the mapped basis is independent, and v minus its
-length stays the rank.  For a system composed from sub-systems of order m,
-the blocks inside group j are sub-system j's, so N is the sum of their
-dual dimensions: 243 against v = 1701 for 3^5 sub-systems of order 7.
+When 3 | v and v >= 9 the loop first runs on the blocks inside each third of
+the points, and stacks the three bases, placed on their thirds, as W (N x v).
+W contains null(M): a block inside third j meets no other third, so any y in
+null(M), restricted to third j, is orthogonal to it; and y is the sum of its
+restrictions, since the thirds partition the points.  W's rows are
+independent, since rows of different thirds have disjoint supports and each
+third's rows are a basis; so x -> x @ W is injective, and the loop runs in
+W's N unknowns (a block becomes its N sums over W's rows, the sample has
+min(b, 2N) blocks, the null basis x maps back as x @ W) with v minus the
+mapped basis's length still the rank.  Thirds, because G(v, k) cuts the
+points into thirds by its first digit: a third of AG(k) is AG(k - 1), and
+the blocks inside a third of a system composed over G(v, k) are one composed
+over G(v/3, k - 1).  So the recursion reaches the sub-systems unasked, and N
+is about 3k where v = 3^k * T.  The span is taken only when 2N <= v:
+mapping back costs dim x N x v, and a sparse design, whose large dual keeps
+N near v, eliminates its few blocks in the plain v unknowns for much less.
 """
 
 from __future__ import annotations
@@ -322,12 +324,23 @@ def verify_resolution(d: BlockDesign, r: Resolution) -> VerificationReport:
     return VerificationReport.from_violations(violations)
 
 
-def _verified_null_basis(d: BlockDesign, p: int, span: np.ndarray | None = None) -> np.ndarray:
-    """Independent rows spanning the x with every block of d summing to 0
-    mod p, inside the row space of span, which must contain them all
-    (module docstring); no span means all of GF(p)^v."""
+def _verified_null_basis(a: np.ndarray, v: int, p: int) -> np.ndarray:
+    """Independent rows spanning the x in GF(p)^v with every row of the
+    sorted (b, 3) block array a summing to 0 mod p (module docstring)."""
     gf3._check_prime(p)
-    a, v = d.array, d.v
+    span = None
+    if v % 3 == 0 and v >= 9:
+        w = v // 3
+        # A sorted row whose first and last points share a third lies inside
+        # it, and the array's order keeps each third's rows contiguous.
+        inner = a[a[:, 0] // w == a[:, 2] // w]
+        cut = np.searchsorted(inner[:, 0], np.arange(4) * w)
+        parts = [_verified_null_basis(inner[cut[j]:cut[j + 1]] - j * w, w, p) for j in range(3)]
+        ends = np.cumsum([0, *map(len, parts)])
+        if 2 * ends[-1] <= v:
+            span = np.zeros((ends[-1], v), dtype=np.int64)
+            for j, part in enumerate(parts):
+                span[ends[j]:ends[j + 1], j * w:(j + 1) * w] = part
     n = v if span is None else len(span)
 
     def rows(blocks: np.ndarray) -> np.ndarray:  # each block's sums over span's rows
@@ -346,40 +359,16 @@ def _verified_null_basis(d: BlockDesign, p: int, span: np.ndarray | None = None)
         m = np.vstack([r[: len(pivots)], rows(a[failing[: len(basis)]])])
 
 
-def span_null_basis(d: BlockDesign, m: int, p: int) -> np.ndarray:
-    """Independent rows spanning what _verified_null_basis(d, p) spans,
-    found inside the span of the duals of d's blocks within each group of m
-    points (module docstring).  Where that span is all of GF(p)^v, as when
-    no block lies inside a group, the plain route runs."""
-    gf3._check_prime(p)
-    a, v = d.array, d.v
-    if 3 <= m < v:
-        # Rows are sorted, so a block whose first and last points share a
-        # group lies inside it; the array's order keeps groups contiguous.
-        inner = a[a[:, 0] // m == a[:, 2] // m]
-        starts = np.arange(0, v + m, m).clip(max=v)
-        cut = np.searchsorted(inner[:, 0], starts)
-        parts = [_verified_null_basis(BlockDesign(hi - lo, inner[i:j] - lo), p)
-                 for lo, hi, i, j in zip(starts, starts[1:], cut, cut[1:])]
-        rows = np.cumsum([0, *map(len, parts)])
-        if rows[-1] < v:
-            span = np.zeros((rows[-1], v), dtype=np.int64)
-            for lo, hi, r0, r1, part in zip(starts, starts[1:], rows, rows[1:], parts):
-                span[r0:r1, lo:hi] = part
-            return _verified_null_basis(d, p, span)
-    return _verified_null_basis(d, p)
-
-
 def p_rank(d: BlockDesign, p: int) -> int:
     """Rank over GF(p) of the incidence matrix, exactly: v minus the dimension
-    of the sample's null space once every block passes (module docstring)."""
-    return d.v - len(_verified_null_basis(d, p))
+    of the verified null space (module docstring)."""
+    return d.v - len(_verified_null_basis(d.array, d.v, p))
 
 
 def dual_space(d: BlockDesign) -> gf3.Subspace:
     """The GF(3) dual, all vectors orthogonal to every block: exactly the
-    sample's null space once every block passes (module docstring)."""
-    return gf3.Subspace.from_rows(_verified_null_basis(d, 3), d.v)
+    verified null space (module docstring)."""
+    return gf3.Subspace.from_rows(_verified_null_basis(d.array, d.v, 3), d.v)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .designs import (
     dual_space,
     permute_design,
     permute_sts,
-    span_null_basis,
 )
 
 
@@ -206,12 +205,12 @@ def force_exact_rank(d: Decomposition) -> StsInstance:
     through that permutation, undoing the within-group sorting so that
     all blocks outside the first group stay untouched.  The dual space of
     the result is never trusted: it is derived exactly from the dual of
-    the blocks outside the first group, its one v-point dual (by
-    span_null_basis over groups of T points), as the vectors of that dual
-    orthogonal to every block of the new sub-system, and compared with
-    the row space of G(v, k); rank v-k-1 follows by rank-nullity.  The
-    returned StsInstance is the one pair-coverage check of a v-point
-    system.  Defined for the plain grouping (t = 0) only.
+    the blocks outside the first group, its one v-point dual_space, as
+    the vectors of that dual orthogonal to every block of the new
+    sub-system, and compared with the row space of G(v, k); rank v-k-1
+    follows by rank-nullity.  The returned StsInstance is the one
+    pair-coverage check of a v-point system.  Defined for the plain
+    grouping (t = 0) only.
     """
     k, t_order = d.k, d.T
     if d.t != 0:
@@ -223,7 +222,7 @@ def force_exact_rank(d: Decomposition) -> StsInstance:
     v = d.v
     subs, tds = embedded_parts(d)
     b_minus = BlockDesign(v, np.concatenate(subs[1:] + list(tds.values())))
-    dual_minus = gf3.Subspace.from_rows(span_null_basis(b_minus, t_order, 3), v)
+    dual_minus = dual_space(b_minus)
     layout = gf3.generator_gvk(v, k)
     # Rows extending the layout code to a basis of the bigger dual.
     extension = _extend_basis(layout, dual_minus)

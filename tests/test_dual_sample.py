@@ -2,9 +2,10 @@
 
 `dual_space` and `p_rank` never eliminate the whole incidence matrix; the
 dense `null_space(incidence_matrix(d))` and `rank(incidence_matrix(d), p)`
-serve here as the oracle they must match exactly.  The span route for
-composed systems, `span_null_basis`, must in turn match `dual_space` and
-`p_rank`, on composed systems and on any design.
+serve here as the oracle they must match exactly.  When 3 | v they work
+inside the duals of the blocks within each third of the points; a
+test-local copy of the verified-sample loop in all v unknowns, with no such
+span, is the oracle they must match on composed systems and on any design.
 """
 
 import functools
@@ -25,7 +26,7 @@ from trisys import cli, designs, gf3
 from trisys.cli import main
 from trisys.composition import compose, decompose, embedded_parts, random_decomposition
 from trisys.constructions import affine_geometry
-from trisys.designs import BlockDesign, dual_space, incidence_matrix, p_rank, span_null_basis
+from trisys.designs import BlockDesign, dual_space, incidence_matrix, p_rank
 from trisys.rankfix import force_exact_rank
 
 PRIMES = (2, 3, 5, 7)
@@ -183,10 +184,29 @@ def composed_cases(draw):
     return composed(k, draw(st.sampled_from([7, 9, 13])), t, draw(st.integers(0, 2)))
 
 
-def assert_span_route_matches(d: BlockDesign, basis: np.ndarray, p: int) -> None:
-    assert d.v - len(basis) == p_rank(d, p)
+def plain_null_basis(d: BlockDesign, p: int) -> np.ndarray:
+    """The verified-sample loop in all v unknowns: sample min(b, 2v) blocks,
+    take the null space, check every block, regrow by the failing ones."""
+    a, v = d.array, d.v
+
+    def rows(blocks):
+        return incidence_matrix(BlockDesign(v, blocks))
+
+    m = rows(a if len(a) <= 2 * v else a[np.arange(2 * v) * len(a) // (2 * v)])
+    while True:
+        r, pivots = gf3.rref(m, p)
+        basis = gf3.null_basis(r, pivots, p)
+        failing = np.flatnonzero((basis[:, a].sum(axis=2) % p).any(axis=0))
+        if not failing.size:
+            return basis
+        m = np.vstack([r[: len(pivots)], rows(a[failing[: len(basis)]])])
+
+
+def assert_matches_plain_route(d: BlockDesign, p: int) -> None:
+    plain = plain_null_basis(d, p)
+    assert p_rank(d, p) == d.v - len(plain)
     if p == 3:
-        assert gf3.Subspace.from_rows(basis, d.v) == dual_space(d)
+        assert dual_space(d) == gf3.Subspace.from_rows(plain, d.v)
 
 
 SPAN_SETTINGS = settings(max_examples=50, deadline=None,
@@ -196,49 +216,72 @@ SPAN_SETTINGS = settings(max_examples=50, deadline=None,
 @SPAN_SETTINGS
 @given(composed_cases(), st.sampled_from(PRIMES))
 def test_span_route_matches_plain_route(case, p):
-    dec, d, _ = case
-    assert_span_route_matches(d, span_null_basis(d, 3**dec.t * dec.T, p), p)
+    _, d, _ = case
+    assert_matches_plain_route(d, p)
 
 
 @SPAN_SETTINGS
 @given(composed_cases(), st.sampled_from(PRIMES))
 def test_span_route_with_first_group_free_matches_on_b_minus(case, p):
-    dec, _, b_minus = case
-    assert_span_route_matches(b_minus, span_null_basis(b_minus, 3**dec.t * dec.T, p), p)
-
+    _, _, b_minus = case
+    assert_matches_plain_route(b_minus, p)
 
 
 @SETTINGS
-@given(st.one_of(triple_sets(), sub_designs()), st.integers(1, 27), st.sampled_from(PRIMES))
-def test_span_route_matches_plain_route_on_any_design(d, m, p):
-    # W contains the dual for any grouping of any design, not only for a
-    # composed system grouped by its sub-systems.
-    assert_span_route_matches(d, span_null_basis(d, m, p), p)
+@given(st.one_of(triple_sets(), sub_designs()), st.sampled_from(PRIMES))
+def test_span_route_matches_plain_route_on_any_design(d, p):
+    # W contains the dual of any design, not only of a composed system.
+    assert_matches_plain_route(d, p)
 
 
 def test_verify_rank_eliminates_per_group_then_once(tmp_path, monkeypatch, capsys):
-    # verify --orthogonal-to v,k --rank eliminates each group of v / 3^k
-    # points and the system once, and when 3^k = v, the system alone: it
-    # neither decomposes nor re-checks the design.
+    # verify --rank recurses over thirds: each node of v points runs on the
+    # blocks inside its thirds first, then eliminates in the N unknowns of
+    # their stacked duals when 2N <= v, else in its v unknowns.  The route
+    # is the same with or without --orthogonal-to, and verify neither
+    # decomposes nor re-checks the design.
     assert main(["construct", "ag", "--k", "3", "--out", str(tmp_path / "ag")]) == 0
     assert main(["construct", "compose", "--k", "2", "--T", "7", "--seed", "1",
                  "--out", str(tmp_path / "c")]) == 0
     seen = []
-    verified_null_basis = designs._verified_null_basis
+    verified_null_basis, rref = designs._verified_null_basis, gf3.rref
 
-    def recording(d, *args):
-        seen.append(d.v)
-        return verified_null_basis(d, *args)
+    def node(a, v, p):
+        seen.append(v)
+        return verified_null_basis(a, v, p)
 
-    monkeypatch.setattr(designs, "_verified_null_basis", recording)
+    def eliminate(m, p=3):
+        if seen:  # inside the rank, not the layout check before it
+            seen.append(("rref", np.shape(m)[1]))
+        return rref(m, p)
+
+    monkeypatch.setattr(designs, "_verified_null_basis", node)
+    monkeypatch.setattr(gf3, "rref", eliminate)
     monkeypatch.setattr(cli, "decompose", None)
     monkeypatch.setattr(designs.StsInstance, "__post_init__", None)
-    for name, target, want in (("ag", "27,3", [27]), ("c", "63,2", [7] * 9 + [63])):
-        seen.clear()
-        argv = ["verify", f"{tmp_path / name}.sts.jsonl", "--orthogonal-to", target, "--rank", "3"]
-        assert main(argv) == 0
-        assert seen == want
+    # AG(2) has dual dimension 3: N = 6 > 9/2 on 9 points, N = 9 on 27.
+    ag2 = [9, *[3, ("rref", 3)] * 3, ("rref", 9)]
+    # STS(7) has dual dimension 1: N = 3 on 21 points; each composed
+    # 21-point third has dual dimension 2: N = 6 on 63.
+    c21 = [21, *[7, ("rref", 7)] * 3, ("rref", 3)]
+    for name, target, want in (("ag", "27,3", [27, *ag2 * 3, ("rref", 9)]),
+                               ("c", "63,2", [63, *c21 * 3, ("rref", 6)])):
+        for layout in ([], ["--orthogonal-to", target]):
+            seen.clear()
+            assert main(["verify", f"{tmp_path / name}.sts.jsonl", *layout, "--rank", "3"]) == 0
+            assert seen == want
     capsys.readouterr()
+
+
+def test_sparse_design_keeps_the_plain_route(monkeypatch):
+    # One block on 1,503 points: the duals of its thirds span N = 1,502 of
+    # them, and mapping a 1,502-row basis back through W would cost about
+    # v^3; with 2N > v the last elimination runs in all v unknowns.
+    d = BlockDesign(1503, [(0, 1, 2)])
+    seen = record_rref(monkeypatch)
+    assert p_rank(d, 3) == 1
+    assert seen[-1].shape[1] == 1503
+
 
 def test_no_v_by_v_elimination_on_composed_input_at_v189(tmp_path, monkeypatch, capsys):
     # The compose summary, force-rank and verify --orthogonal-to --rank 3
