@@ -17,11 +17,11 @@ from td_from_latin, permute_sts and decompose only); the verify_*
 functions report on untrusted input.
 
 Ranks and dual spaces are exact without the b x v incidence matrix M: the
-null space N of a stride sample of min(b, 2v) blocks contains null(M), and
-equals it once every block is orthogonal to N (one gather checks all); a
+null space of a stride sample of min(b, 2v) blocks contains null(M), and
+equals it once every block is orthogonal to it (one gather checks all); a
 failing block raises the sample's rank, so regrowing by failing blocks ends.
-When 3 | v and v >= 9 the loop first runs on the blocks inside each third of
-the points, and stacks the three bases, placed on their thirds, as W (N x v).
+When 3 | v, the loop first runs on the blocks inside each third of the
+points and stacks the three bases, placed on their thirds, as W (N x v).
 W contains null(M): a block inside third j meets no other third, so any y in
 null(M), restricted to third j, is orthogonal to it; and y is the sum of its
 restrictions, since the thirds partition the points.  W's rows are
@@ -33,7 +33,7 @@ mapped basis's length still the rank.  Thirds, because G(v, k) cuts the
 points into thirds by its first digit: a third of AG(k) is AG(k - 1), and
 the blocks inside a third of a system composed over G(v, k) are one composed
 over G(v/3, k - 1).  So the recursion reaches the sub-systems unasked, and N
-is about 3k where v = 3^k * T.  The span is taken only when 2N <= v:
+is about 3k where v = 3^k * T (15 at v = 1701).  W is used only if 2N <= v:
 mapping back costs dim x N x v, and a sparse design, whose large dual keeps
 N near v, eliminates its few blocks in the plain v unknowns for much less.
 """
@@ -329,11 +329,14 @@ def _verified_null_basis(a: np.ndarray, v: int, p: int) -> np.ndarray:
     sorted (b, 3) block array a summing to 0 mod p (module docstring)."""
     gf3._check_prime(p)
     span = None
-    if v % 3 == 0 and v >= 9:
-        w = v // 3
-        # A sorted row whose first and last points share a third lies inside
-        # it, and the array's order keeps each third's rows contiguous.
-        inner = a[a[:, 0] // w == a[:, 2] // w]
+    w = v // 3
+    # A sorted row whose first and last points share a third lies inside
+    # it, and the array's order keeps each third's rows contiguous.
+    inner = a[a[:, 0] // w == a[:, 2] // w] if v % 3 == 0 and v >= 9 else a[:0]
+    # A third's dual has dimension at least its points minus its blocks, so
+    # N >= v - len(inner): 2N <= v needs len(inner) >= v/2, as a Bose
+    # system (no block inside a third) or a sparse design never has.
+    if len(inner) and 2 * len(inner) >= v:
         cut = np.searchsorted(inner[:, 0], np.arange(4) * w)
         parts = [_verified_null_basis(inner[cut[j]:cut[j + 1]] - j * w, w, p) for j in range(3)]
         ends = np.cumsum([0, *map(len, parts)])

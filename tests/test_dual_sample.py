@@ -259,8 +259,9 @@ def test_verify_rank_eliminates_per_group_then_once(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(gf3, "rref", eliminate)
     monkeypatch.setattr(cli, "decompose", None)
     monkeypatch.setattr(designs.StsInstance, "__post_init__", None)
-    # AG(2) has dual dimension 3: N = 6 > 9/2 on 9 points, N = 9 on 27.
-    ag2 = [9, *[3, ("rref", 3)] * 3, ("rref", 9)]
+    # AG(2)'s thirds hold 3 < 9/2 of its blocks, so it eliminates in its 9
+    # unknowns; it has dual dimension 3, so N = 9 on 27 points.
+    ag2 = [9, ("rref", 9)]
     # STS(7) has dual dimension 1: N = 3 on 21 points; each composed
     # 21-point third has dual dimension 2: N = 6 on 63.
     c21 = [21, *[7, ("rref", 7)] * 3, ("rref", 3)]
@@ -273,13 +274,16 @@ def test_verify_rank_eliminates_per_group_then_once(tmp_path, monkeypatch, capsy
     capsys.readouterr()
 
 
-def test_sparse_design_keeps_the_plain_route(monkeypatch):
-    # One block on 1,503 points: the duals of its thirds span N = 1,502 of
-    # them, and mapping a 1,502-row basis back through W would cost about
-    # v^3; with 2N > v the last elimination runs in all v unknowns.
-    d = BlockDesign(1503, [(0, 1, 2)])
+@pytest.mark.parametrize("blocks", [[(0, 1, 2)], list(combinations(range(20), 3))])
+def test_sparse_design_keeps_the_plain_route(monkeypatch, blocks):
+    # On 1,503 points, one block, or all 1,140 triples of 20 points: the
+    # duals of the thirds span N >= 1,484 points, and mapping an N-row basis
+    # back through W would cost about v^3; with 2N > v the last elimination
+    # runs in all v unknowns.
+    d = BlockDesign(1503, blocks)
+    want = d.v - len(plain_null_basis(d, 3))
     seen = record_rref(monkeypatch)
-    assert p_rank(d, 3) == 1
+    assert p_rank(d, 3) == want == (1 if len(blocks) == 1 else 19)
     assert seen[-1].shape[1] == 1503
 
 
