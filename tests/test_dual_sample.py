@@ -235,10 +235,11 @@ def test_span_route_matches_plain_route_on_any_design(d, p):
 
 
 def test_verify_rank_eliminates_per_group_then_once(tmp_path, monkeypatch, capsys):
-    # verify --rank recurses over thirds: each node of v points runs on the
-    # blocks inside its thirds first, then eliminates in the N unknowns of
-    # their stacked duals when 2N <= v, else in its v unknowns.  The route
-    # is the same with or without --orthogonal-to, and verify neither
+    # verify --rank recurses over thirds: a node of v points whose thirds
+    # hold at least v/2 of its blocks runs on each third's blocks first,
+    # then eliminates in the N unknowns of their stacked duals when
+    # 2N <= v; any other node eliminates in its v unknowns.  The route is
+    # the same with or without --orthogonal-to, and verify neither
     # decomposes nor re-checks the design.
     assert main(["construct", "ag", "--k", "3", "--out", str(tmp_path / "ag")]) == 0
     assert main(["construct", "compose", "--k", "2", "--T", "7", "--seed", "1",
@@ -276,10 +277,10 @@ def test_verify_rank_eliminates_per_group_then_once(tmp_path, monkeypatch, capsy
 
 @pytest.mark.parametrize("blocks", [[(0, 1, 2)], list(combinations(range(20), 3))])
 def test_sparse_design_keeps_the_plain_route(monkeypatch, blocks):
-    # On 1,503 points, one block, or all 1,140 triples of 20 points: the
-    # duals of the thirds span N >= 1,484 points, and mapping an N-row basis
-    # back through W would cost about v^3; with 2N > v the last elimination
-    # runs in all v unknowns.
+    # On 1,503 points, one block, or all 1,140 triples of 20 points (enough
+    # for the recursion to run): the thirds' duals span N >= 1,484 points,
+    # and mapping an N-row basis back through W would cost about v^3; with
+    # 2N > v the last elimination runs in all v unknowns.
     d = BlockDesign(1503, blocks)
     want = d.v - len(plain_null_basis(d, 3))
     seen = record_rref(monkeypatch)
