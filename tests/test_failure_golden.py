@@ -10,13 +10,14 @@ kept every type, text, byte and code.
 """
 
 import json
+import random
 import re
 
 import pytest
 
 from trisys import bounds, composition, constructions, gf3, rankfix, resolution
 from trisys.cli import main
-from trisys.composition import Decomposition, compose_resolution
+from trisys.composition import Decomposition, compose, compose_resolution, random_decomposition
 from trisys.constructions import (
     affine_geometry,
     kts15,
@@ -34,11 +35,12 @@ from trisys.designs import (
     are_orthogonal,
     canonical_td_groups,
     permute_design,
+    permute_sts,
     resolve_td,
     td_from_latin,
     verify_resolution,
 )
-from trisys.io import DesignFileRecord, serialize
+from trisys.io import DesignFileRecord, serialize, sts_record
 
 # td_from_latin of the cyclic square of order 3: cell (r, c) -> {r, 3+c, 6+(r+c)%3}.
 TD3 = tuple((r, 3 + c, 6 + (r + c) % 3) for r in range(3) for c in range(3))
@@ -431,6 +433,18 @@ def test_missing_resolution_file_exits_4(ag2, tmp_path, capsys):
 
 DEC_HEADER = '{"format_version":"1","kind":"decomposition","v":9,"k":1}\n'
 AG2_RES = "[[0,1,2],[3,4,5],[6,7,8]]\n[[0,3,6],[1,4,7],[2,5,8]]\n"
+COMPOSED_21 = compose(random_decomposition(1, 7, random.Random(1)))
+
+
+def dec_file(s, k):
+    """A decomposition file holding s with k in its header."""
+    return serialize(sts_record(s, k=k, kind="decomposition"))
+
+
+def shifted(s):
+    """s relabelled by the cyclic shift i -> i + 1 mod v."""
+    return permute_sts(s, [(i + 1) % s.v for i in range(s.v)])
+
 
 # name -> (arguments, input file text, error line).  "IN" in the arguments
 # names a file holding the text.  Each case exits 2 with the one line on
@@ -447,6 +461,37 @@ EXIT_2_CASES = {
     "force-rank-on-sts-file": (
         ("construct", "force-rank", "--in", "IN"), HEADER.format(kind="sts", v=9) + TD3_BODY,
         "force-rank needs a decomposition file (with k)",
+    ),
+    # The checks of force-rank in the order they run: k, then the layout,
+    # then the sub-system order.
+    "force-rank-negative-k": (
+        ("construct", "force-rank", "--in", "IN"), dec_file(COMPOSED_21, -1),
+        "3^k must divide v, got v=21, k=-1",
+    ),
+    "force-rank-k0": (
+        ("construct", "force-rank", "--in", "IN"), dec_file(COMPOSED_21, 0),
+        "k must be >= 1",
+    ),
+    "force-rank-k-not-dividing": (
+        ("construct", "force-rank", "--in", "IN"), dec_file(COMPOSED_21, 2),
+        "3^k must divide v, got v=21, k=2",
+    ),
+    # G(0, 0) is checked before k, as the layout is built first.
+    "force-rank-no-points": (
+        ("construct", "force-rank", "--in", "IN"), dec_file(StsInstance(BlockDesign(0, ())), 0),
+        "need v >= 1 and k >= 0, got v=0, k=0",
+    ),
+    "force-rank-order-3": (
+        ("construct", "force-rank", "--in", "IN"), dec_file(affine_geometry(2).sts, 1),
+        "sub-system order must exceed 3",
+    ),
+    "force-rank-not-orthogonal": (
+        ("construct", "force-rank", "--in", "IN"), dec_file(shifted(COMPOSED_21), 1),
+        "system is not orthogonal to G(21,1) as laid out",
+    ),
+    "force-rank-order-3-not-orthogonal": (
+        ("construct", "force-rank", "--in", "IN"), dec_file(shifted(affine_geometry(2).sts), 1),
+        "system is not orthogonal to G(9,1) as laid out",
     ),
     "resolve-on-resolution-file": (
         ("construct", "resolve", "--in", "IN"), HEADER.format(kind="resolution", v=9) + AG2_RES,
