@@ -31,7 +31,7 @@ s = compose(dec)
 print(f"composed on v=27: 3-rank={p_rank(s.design, 3)} (bound is 25)")
 print(f"dual dimension: {dual_space(s.design).dim} (want 2)")
 
-forced = force_exact_rank(dec)
+forced = force_exact_rank(s, dec.k)
 print(f"after forcing:   3-rank={p_rank(forced.design, 3)}")
 print("dual is exactly G(27,1):",
       dual_space(forced.design) == row_space(generator_gvk(27, 1)))

@@ -16,7 +16,7 @@ import sys
 
 from . import gf3
 from .bounds import bound_rcw, bound_thm1, bound_thm1prime, bound_thm2
-from .composition import compose, decompose, random_decomposition
+from .composition import compose, random_decomposition
 from .constructions import affine_geometry, small_sts
 from .designs import (
     BlockDesign,
@@ -91,8 +91,7 @@ def _cmd_construct(args) -> int:
             raise ValueError("force-rank needs a decomposition file (with k)")
         k, s = rec.k, StsInstance(BlockDesign(rec.v, rec.blocks))
         del rec  # one tuple per block: about five times the design's array
-        dec = decompose(s, k)
-        forced = force_exact_rank(dec)
+        forced = force_exact_rank(s, k)
         out = out or "forced"
         write_design(f"{out}.sts.jsonl", sts_record(forced, k=k))
         # force_exact_rank proved dual = row space of G(v,k), of dimension

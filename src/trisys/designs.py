@@ -355,7 +355,7 @@ def _verified_null_basis(a: np.ndarray, v: int, p: int) -> np.ndarray:
         basis = gf3.null_basis(r, pivots, p)
         if span is not None:
             basis = basis @ span % p
-        failing = np.flatnonzero((basis[:, a].sum(axis=2) % p).any(axis=0))
+        failing = np.flatnonzero(gf3._nonzero_sums(basis, a, p))
         if not failing.size:
             return basis
         # The reduced rows plus at most dim failing blocks: at most n rows.

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_PRIME = 251
+_GATHER_CHUNK = 1 << 16  # blocks per gather: bounds its dim x chunk x 3 temporary
 
 
 def _check_prime(p: int) -> None:
@@ -163,6 +164,12 @@ def intersect_dim(a: Subspace, b: Subspace) -> int:
     return a.dim + b.dim - rank(np.vstack([a.basis, b.basis]), 3)
 
 
+def _nonzero_sums(basis: np.ndarray, blocks: np.ndarray, p: int) -> np.ndarray:
+    """Per row of a (b, 3) block array: does some basis row sum to nonzero mod p?"""
+    chunks = [blocks[i:i + _GATHER_CHUNK] for i in range(0, len(blocks), _GATHER_CHUNK)]
+    return np.concatenate([(basis[:, c].sum(axis=2) % p).any(axis=0) for c in chunks or [blocks]])
+
+
 def is_orthogonal(design, s: Subspace) -> bool:
     """True iff every block of the design is orthogonal to every basis row.
 
@@ -174,8 +181,7 @@ def is_orthogonal(design, s: Subspace) -> bool:
         raise ValueError(
             f"ambient dimension {s.ambient_dim} does not match v={design.v}"
         )
-    sums = s.basis[:, design.array].sum(axis=2) % 3
-    return not sums.any()
+    return not _nonzero_sums(s.basis, design.array, 3).any()
 
 
 def permute_columns(m: np.ndarray, image) -> np.ndarray:

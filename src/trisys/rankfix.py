@@ -6,9 +6,10 @@ first sub-system by a carefully permuted copy removes every stray dual
 vector: the permutation is chosen so that the dual of the new sub-system
 meets the relevant local layout code only in the all-one line.  The
 result's certificate, its dual space equal to the layout code, is derived
-from the dual of the blocks outside the first group, which is computed
-once: a vector of that dual lies in the result's dual exactly when it is
-orthogonal to every block of the new sub-system.
+from the dual of the blocks outside the first group, read off the
+composed system's own block array and computed once: a vector of that
+dual lies in the result's dual exactly when it is orthogonal to every
+block of the new sub-system.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf3
-from .composition import Decomposition, embedded_parts
 from .designs import (
     BlockDesign,
     StsInstance,
@@ -193,49 +193,49 @@ def verify_dual_structure(d: BlockDesign) -> int:
     return dual.dim - 1
 
 
-def force_exact_rank(d: Decomposition) -> StsInstance:
-    """Rebuild compose(d) with the first sub-system permuted so the dual
-    space is exactly the row space of generator_gvk(v, k).
+def force_exact_rank(s: StsInstance, k: int) -> StsInstance:
+    """Rebuild s, laid out over G(v,k), with its first sub-system permuted
+    so the dual space is exactly the row space of generator_gvk(v, k).
 
-    Steps: embed every ingredient but the first sub-system, the blocks
-    outside the first group (B-), without composing d; read its dual's
-    excess dimensions k'-k and the within-group layout; canonicalize the
-    first sub-system's own dual (sigma, l); pick the intersection
-    permutation at level t = max(l, k'-k); reinsert the sub-system
-    through that permutation, undoing the within-group sorting so that
-    all blocks outside the first group stay untouched.  The dual space of
-    the result is never trusted: it is derived exactly from the dual of
-    the blocks outside the first group, its one v-point dual_space, as
-    the vectors of that dual orthogonal to every block of the new
-    sub-system, and compared with the row space of G(v, k); rank v-k-1
-    follows by rank-nullity.  The returned StsInstance is the one
-    pair-coverage check of a v-point system.  Defined for the plain
-    grouping (t = 0) only.
+    With T = v/3^k, the first sub-system is s's blocks inside points 0..T-1
+    and B- is the rest.  Every row of G(v,k) is constant on that group, so
+    s is orthogonal to G(v,k) exactly when the layout rows extend to a basis
+    of dual(B-), which the step reading dual(B-)'s excess dimensions k'-k
+    and the within-group layout checks anyway.  Then: canonicalize the first
+    sub-system's own dual (sigma, l); pick the intersection permutation at
+    level t = max(l, k'-k); reinsert the sub-system through it, undoing the
+    within-group sorting so that B- stays untouched.  The dual space of the
+    result is never trusted: it is derived exactly from dual(B-), its one
+    v-point dual_space, as the vectors of that dual orthogonal to every
+    block of the new sub-system, and compared with the row space of G(v,k);
+    rank v-k-1 follows by rank-nullity.  The returned StsInstance is the
+    one pair-coverage check of a v-point system.
     """
-    k, t_order = d.k, d.T
-    if d.t != 0:
-        raise ValueError("force_exact_rank needs a plain (t = 0) decomposition")
+    v = s.v
+    if k < 0 or v % 3**k != 0:
+        raise ValueError(f"3^k must divide v, got v={v}, k={k}")
+    layout = gf3.generator_gvk(v, k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if t_order <= 3:
-        raise ValueError("sub-system order must exceed 3")
-    v = d.v
-    subs, tds = embedded_parts(d)
-    b_minus = BlockDesign(v, np.concatenate(subs[1:] + list(tds.values())))
+    t_order = v // 3**k
+    first = s.array[:, 2] < t_order  # a sorted row inside points 0..T-1
+    b_minus = BlockDesign(v, s.array[~first])
     dual_minus = dual_space(b_minus)
-    layout = gf3.generator_gvk(v, k)
     # Rows extending the layout code to a basis of the bigger dual.
     extension = _extend_basis(layout, dual_minus)
     if extension is None:
-        raise AssertionError("composed system lost orthogonality to its layout code")
+        raise ValueError(f"system is not orthogonal to G({v},{k}) as laid out")
+    if t_order <= 3:
+        raise ValueError("sub-system order must exceed 3")
     kprime = dual_minus.dim - 1
     tau0 = _layout_sort(extension[:, :t_order])
 
-    sigma, l = dual_canonicalize(d.sub_systems[0])
+    sub = StsInstance(BlockDesign(t_order, s.array[first]))
+    sigma, l = dual_canonicalize(sub)
     level = max(l, kprime - k)
     pi = perm_intersection(t_order, level)
     relabel = tau0.inverse().after(pi.after(sigma))
-    replaced = permute_design(d.sub_systems[0].design, relabel.image)
+    replaced = permute_design(sub.design, relabel.image)
     result = StsInstance(BlockDesign(v, np.concatenate([b_minus.array, replaced.array])))
 
     # dual(result) = the combinations c @ dual_minus.basis with c orthogonal

@@ -133,7 +133,7 @@ def test_criterion_4_resolvable_45_pipeline():
     )
     assert res45.n_classes == 22
     assert verify_resolution(compose(dec).design, res45).ok
-    forced = force_exact_rank(dec)
+    forced = force_exact_rank(compose(dec), dec.k)
     assert p_rank(forced.design, 3) == 43
     _done("criterion 4 (order-45 pipeline)", t0, 60.0)
 
@@ -222,7 +222,7 @@ def test_criterion_6_rank_forcing_machinery():
     )
     composed = compose(dec)
     assert p_rank(composed.design, 3) < 25
-    forced = force_exact_rank(dec)
+    forced = force_exact_rank(composed, dec.k)
     assert p_rank(forced.design, 3) == 25
     assert verify_sts(forced.design).ok
     outside = lambda s: {b for b in s.blocks if b[2] >= 9}

@@ -367,7 +367,7 @@ class _Probed(Exception):
 
 
 @pytest.mark.parametrize("argv, stage", [
-    (("construct", "force-rank", "--in", "FILE"), "decompose"),
+    (("construct", "force-rank", "--in", "FILE"), "force_exact_rank"),
     (("construct", "resolve", "--in", "FILE"), "search_resolution"),
     (("verify", "FILE", "--rank", "3"), "p_rank"),
 ])

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from trisys import cli, designs, gf3
 from trisys.cli import main
-from trisys.composition import compose, decompose, embedded_parts, random_decomposition
+from trisys.composition import compose, embedded_parts, random_decomposition
 from trisys.constructions import affine_geometry
 from trisys.designs import BlockDesign, dual_space, incidence_matrix, p_rank
 from trisys.rankfix import force_exact_rank
@@ -94,6 +94,23 @@ def test_p_rank_rejects_non_primes_for_empty_designs_too(p):
             p_rank(d, p)
 
 
+@pytest.mark.parametrize("chunk", [1, 4, 7])
+def test_gather_in_chunks_matches_dense(monkeypatch, chunk):
+    # The gather checks blocks a few at a time: designs of many chunks, one
+    # with fewer blocks than a chunk, and the 27 disjoint blocks on 81
+    # points, whose last block alone fails the dual of the others.
+    monkeypatch.setattr(gf3, "_GATHER_CHUNK", chunk)
+    disjoint = BlockDesign(81, np.arange(81).reshape(27, 3))
+    for d in (AG4, COMPOSED_63, disjoint, BlockDesign(81, AG4.array[-3:]), BlockDesign(9, ())):
+        for p in PRIMES:
+            assert_matches_dense(d, p)
+        m = incidence_matrix(d)
+        for code in (dual_space(BlockDesign(d.v, d.array[:-1])),
+                     gf3.row_space(gf3.generator_gvk(d.v, 1))):
+            assert gf3.is_orthogonal(d, code) == (not (m @ code.basis.T % 3).any())
+    assert not gf3.is_orthogonal(disjoint, dual_space(BlockDesign(81, disjoint.array[:-1])))
+
+
 def record_rref(monkeypatch) -> list:
     """Monkeypatch gf3.rref to record each input matrix; returns the list."""
     seen = []
@@ -131,7 +148,7 @@ def test_no_elimination_sees_more_than_3v_rows_at_v189(monkeypatch):
     seen = record_rref(monkeypatch)
     assert dual_space(s.design).dim == 4
     assert [p_rank(s.design, p) for p in PRIMES] == [189, 185, 189, 189]
-    forced = force_exact_rank(decompose(s, 3))
+    forced = force_exact_rank(s, 3)
     assert p_rank(forced.design, 3) == v - 4
     assert seen
     assert max(len(m) for m in seen) <= 3 * v
@@ -258,7 +275,7 @@ def test_verify_rank_eliminates_per_group_then_once(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(designs, "_verified_null_basis", node)
     monkeypatch.setattr(gf3, "rref", eliminate)
-    monkeypatch.setattr(cli, "decompose", None)
+    assert not hasattr(cli, "decompose")
     monkeypatch.setattr(designs.StsInstance, "__post_init__", None)
     # AG(2)'s thirds hold 3 < 9/2 of its blocks, so it eliminates in its 9
     # unknowns; it has dual dimension 3, so N = 9 on 27 points.

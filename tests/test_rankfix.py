@@ -1,14 +1,17 @@
 """Rank forcing: canonicalization, intersection permutations, dual structure."""
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisys import designs, gf3, rankfix
-from trisys.composition import Decomposition, compose, random_decomposition, split_ag
+from trisys import composition, designs, gf3, rankfix
+from trisys.cli import main
+from trisys.composition import Decomposition, compose, random_decomposition
 from trisys.constructions import affine_geometry, kts15, latin_with_mate, small_sts
 from trisys.designs import (
     BlockDesign,
@@ -185,7 +188,7 @@ def test_force_exact_rank_aligned_ag2():
     dec = aligned_decomposition(9)
     before = p_rank(compose(dec).design, 3)
     assert before < 25
-    forced = force_exact_rank(dec)
+    forced = force_exact_rank(compose(dec), dec.k)
     assert p_rank(forced.design, 3) == 25
     assert verify_sts(forced.design).ok
     assert dual_space(forced.design) == gf3.row_space(gf3.generator_gvk(27, 1))
@@ -198,7 +201,7 @@ def test_force_exact_rank_kts15_ingredients():
     sts15, res15 = kts15()
     td = td_from_latin(latin_with_mate(15)[0])
     dec = Decomposition(k=1, T=15, sub_systems=(sts15,) * 3, tds={(0, 1, 2): td})
-    forced = force_exact_rank(dec)
+    forced = force_exact_rank(compose(dec), dec.k)
     assert p_rank(forced.design, 3) == 43
 
 
@@ -206,7 +209,7 @@ def test_force_exact_rank_already_exact():
     rng = random.Random(13)
     dec = random_decomposition(1, 7, rng)
     assert p_rank(compose(dec).design, 3) == 19
-    forced = force_exact_rank(dec)
+    forced = force_exact_rank(compose(dec), dec.k)
     assert p_rank(forced.design, 3) == 19
     assert dual_space(forced.design) == gf3.row_space(gf3.generator_gvk(21, 1))
 
@@ -221,7 +224,7 @@ def test_force_exact_rank_preserves_resolvability():
     sts15, res15 = kts15()
     main, mate = latin_with_mate(15)
     dec = Decomposition(k=1, T=15, sub_systems=(sts15,) * 3, tds={(0, 1, 2): td_from_latin(main)})
-    forced = force_exact_rank(dec)
+    forced = force_exact_rank(compose(dec), dec.k)
     dec_after = decompose(forced, 1)
     new_first_res = find_resolution(dec_after.sub_systems[0])
     assert new_first_res is not None
@@ -255,25 +258,32 @@ def test_low_rank_iff_orthogonal_to_some_permuted_code():
 def test_force_exact_rank_k2_order63():
     rng = random.Random(17)
     dec = random_decomposition(2, 7, rng)
-    forced = force_exact_rank(dec)
+    forced = force_exact_rank(compose(dec), dec.k)
     assert p_rank(forced.design, 3) == 60
     assert dual_space(forced.design) == gf3.row_space(gf3.generator_gvk(63, 2))
 
 
 def test_force_exact_rank_rejects_small_orders():
     with pytest.raises(ValueError):
-        force_exact_rank(aligned_decomposition(3))
+        force_exact_rank(compose(aligned_decomposition(3)), 1)
     dec = aligned_decomposition(9)
     with pytest.raises(ValueError):
-        force_exact_rank(Decomposition(k=0, T=9, sub_systems=(dec.sub_systems[0],), tds={}))
-    # Rank forcing is defined for the plain grouping only.
-    td = dec.tds[(0, 1, 2)]
-    split = Decomposition(
-        k=2, T=9, t=1, sub_systems=(compose(dec),) * 3,
-        tds={b: td for b in split_ag(2, 1)[1]},
-    )
-    with pytest.raises(ValueError, match="t = 0"):
-        force_exact_rank(split)
+        force_exact_rank(
+            compose(Decomposition(k=0, T=9, sub_systems=(dec.sub_systems[0],), tds={})), 0
+        )
+    # A t-split composed system is laid out over G(v, k) too, so it is forced
+    # like a plain one.
+    split = compose(random_decomposition(2, 7, random.Random(5), t=1))
+    forced = force_exact_rank(split, 2)
+    assert dual_space(forced.design) == gf3.row_space(gf3.generator_gvk(63, 2))
+
+
+def test_force_exact_rank_rejects_a_system_not_laid_out():
+    # The layout check is decompose's, with its ValueError and text.
+    s = compose(random_decomposition(1, 7, random.Random(1)))
+    shifted = PointPermutation(21, [(i + 1) % 21 for i in range(21)]).apply_sts(s)
+    with pytest.raises(ValueError, match=r"^system is not orthogonal to G\(21,1\) as laid out$"):
+        force_exact_rank(shifted, 1)
 
 
 # (k, T, seed) of plain compose inputs, as `construct compose` draws them.
@@ -284,7 +294,7 @@ FORCE_INPUTS = [(3, 7, 1), (2, 13, 5), (1, 13, 3), (2, 9, 1)]
 def test_force_exact_rank_dense_oracle(k, T, seed):
     # The dual space force_exact_rank derives from dual(B-) must be what a
     # full elimination of the result finds.
-    forced = force_exact_rank(random_decomposition(k, T, random.Random(seed)))
+    forced = force_exact_rank(compose(random_decomposition(k, T, random.Random(seed))), k)
     v = 3**k * T
     assert dual_space(forced.design) == gf3.row_space(gf3.generator_gvk(v, k))
 
@@ -292,6 +302,7 @@ def test_force_exact_rank_dense_oracle(k, T, seed):
 def test_force_exact_rank_eliminates_one_v_point_design(monkeypatch):
     # B-'s dual is eliminated inside its sub-systems' dual span.
     dec = random_decomposition(2, 7, random.Random(17))
+    s = compose(dec)
     seen = []
 
     def counting(f):
@@ -301,7 +312,7 @@ def test_force_exact_rank_eliminates_one_v_point_design(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(rankfix, "dual_space", counting(rankfix.dual_space))
-    force_exact_rank(dec)
+    force_exact_rank(s, dec.k)
     assert seen.count(dec.v) == 1
 
 
@@ -309,6 +320,7 @@ def test_force_exact_rank_verifies_one_v_point_system(monkeypatch):
     # The result's StsInstance is the one STS certificate of a v-point
     # system; B- is never composed into a checked system of its own.
     dec = random_decomposition(2, 7, random.Random(17))
+    s = compose(dec)
     seen = []
 
     def counting(d):
@@ -316,8 +328,53 @@ def test_force_exact_rank_verifies_one_v_point_system(monkeypatch):
         return verify_sts(d)
 
     monkeypatch.setattr(designs, "verify_sts", counting)
-    force_exact_rank(dec)
+    force_exact_rank(s, dec.k)
     assert seen.count(dec.v) == 1
+
+
+def test_force_rank_builds_no_decomposition(tmp_path, monkeypatch, capsys):
+    # construct force-rank reads the first sub-system and B- off the file's
+    # block array: no TD is built, and the BlockDesigns it builds are the
+    # same few at every k.
+    built, tds = {}, []
+    post_init, unchecked = BlockDesign.__post_init__, designs._unchecked
+
+    def counting(d):
+        built[k].append(d.v)
+        post_init(d)
+
+    def recording(cls, **fields):
+        tds.append(cls)
+        return unchecked(cls, **fields)
+
+    monkeypatch.chdir(tmp_path)
+    for k in (2, 3):
+        assert main(["construct", "compose", "--k", str(k), "--T", "7", "--out", f"c{k}"]) == 0
+        built[k] = []
+        with monkeypatch.context() as m:
+            m.setattr(BlockDesign, "__post_init__", counting)
+            m.setattr(designs.TdInstance, "__post_init__", lambda td: tds.append(type(td)))
+            m.setattr(designs, "_unchecked", recording)
+            m.setattr(composition, "_unchecked", recording)
+            assert main(["construct", "force-rank", "--in", f"c{k}.sts.jsonl"]) == 0
+    capsys.readouterr()
+    v = 3**3 * 7
+    assert built[3] == [v, v, 7, 7, v]
+    assert len(built[2]) == len(built[3])
+    assert designs.TdInstance not in tds
+
+
+def test_rankfix_imports_nothing_from_composition():
+    path = Path(__file__).resolve().parent.parent / "src" / "trisys" / "rankfix.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported if "composition" in name}, imported
 
 
 def test_force_exact_rank_raises_when_certificate_fails(monkeypatch):
@@ -327,7 +384,7 @@ def test_force_exact_rank_raises_when_certificate_fails(monkeypatch):
         rankfix, "perm_intersection", lambda T, t: PointPermutation.identity(T)
     )
     with pytest.raises(AssertionError, match="rank forcing failed"):
-        force_exact_rank(aligned_decomposition(9))
+        force_exact_rank(compose(aligned_decomposition(9)), 1)
 
 
 def greedy_extension(rows, d):
