@@ -25,6 +25,7 @@ from .composition import (
     compose_split,
     decompose,
     random_decomposition,
+    resolvable_sts,
     split_ag,
     split_standard_resolution,
 )
@@ -33,7 +34,6 @@ from .constructions import (
     affine_geometry,
     kts15,
     latin_with_mate,
-    resolvable_sts,
     small_sts,
 )
 from .designs import (

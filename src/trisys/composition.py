@@ -12,6 +12,8 @@ plain grouping is t = 0.  Both directions work on block arrays:
 embedded_parts moves each ingredient's array into the composed points,
 decompose splits the composed array, and resolution assembly maps each
 ingredient class through its part's composed indices (BlockDesign.lookup).
+The catalogue of resolvable ingredients, resolvable_sts, lives here
+because it composes orders 9 (mod 18) over order t/3.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import gf3
-from .constructions import affine_geometry, small_sts
+from .constructions import affine_geometry, kts15, latin_with_mate, small_sts
 from .designs import (
     Block,
     BlockDesign,
@@ -35,9 +37,11 @@ from .designs import (
     _unchecked,
     canonical_td_groups,
     permute_sts,
+    resolve_td,
     td_from_latin,
     verify_resolution,
 )
+from .resolution import SearchLimits, find_resolution
 
 
 @cache
@@ -138,8 +142,7 @@ def decompose(s: StsInstance, k: int) -> Decomposition:
     that group, a cross pair in a block meeting its triple's third group.
     """
     v = s.v
-    if k < 0 or v % 3**k != 0:
-        raise ValueError(f"3^k must divide v, got v={v}, k={k}")
+    gf3._check_layout(v, k)
     if not gf3.is_orthogonal(s, gf3.row_space(gf3.generator_gvk(v, k))):
         raise ValueError(f"system is not orthogonal to G({v},{k}) as laid out")
     n = 3**k
@@ -270,3 +273,50 @@ def random_decomposition(
         return Decomposition(k=k, T=T, sub_systems=subs, tds=tds, t=t)
 
     return select(k, t)
+
+
+def resolvable_sts(
+    t: int, limits: SearchLimits | None = None
+) -> tuple[StsInstance, Resolution] | None:
+    """A triple system of order t = 3 (mod 6) together with a resolution.
+
+    Powers of three come from the affine systems, 15 from kts15, orders
+    9 (mod 18) from the grouped composition over order t/3, and anything
+    else from budgeted search on the Bose system (None = budget ran out,
+    not a nonexistence proof).
+    """
+    if t % 6 != 3:
+        raise ValueError(f"resolvable triple systems need order 3 (mod 6), got {t}")
+    m, k = t, 0
+    while m % 3 == 0:
+        m //= 3
+        k += 1
+    if m == 1:
+        ag = affine_geometry(k)
+        return ag.sts, ag.standard_resolution
+    if t == 15:
+        return kts15()
+    if (t // 3) % 6 == 3:
+        return _resolvable_by_composition(t, limits)
+    sts = small_sts(t)
+    found = find_resolution(sts, limits)
+    return None if found is None else (sts, found)
+
+
+def _resolvable_by_composition(t, limits):
+    sub = resolvable_sts(t // 3, limits)
+    if sub is None:
+        return None
+    sub_sts, sub_res = sub
+    main, mate = latin_with_mate(t // 3)
+    td = td_from_latin(main)
+    td_res = resolve_td(main, mate)
+    ag1 = affine_geometry(1)
+    dec = Decomposition(k=1, T=t // 3, sub_systems=(sub_sts,) * 3, tds={(0, 1, 2): td})
+    res = compose_resolution(
+        dec,
+        sub_resolutions=(sub_res,) * 3,
+        td_resolutions={(0, 1, 2): td_res},
+        outer_resolution=ag1.standard_resolution,
+    )
+    return compose(dec), res

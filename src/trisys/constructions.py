@@ -1,9 +1,10 @@
 """Generators for ingredient systems.
 
 Affine triple systems with their translation resolutions, Bose/Skolem
-small systems, Latin squares with orthogonal mates, and a stock
-resolvable system of order 15.  Constants are re-verified at build time;
-the checked constructors are the oracle.
+small systems, Latin squares with orthogonal mates, and a resolvable
+system of order 15 whose resolution the search finds.  Every result
+passes its certificates.  The catalogue of resolvable systems, which
+recurses through the composition, is composition.resolvable_sts.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from .designs import (
     Resolution,
     StsInstance,
     are_orthogonal,
-    resolve_td,
-    td_from_latin,
     verify_resolution,
 )
-from .resolution import SearchLimits, find_resolution
+from .resolution import find_resolution
 
 
 @dataclass(frozen=True)
@@ -114,80 +113,11 @@ def small_sts(t: int) -> StsInstance:
     return _skolem(t // 6)
 
 
-# Resolution of the order-15 system below, found once by search_resolution
-# and frozen; re-verified on every call.
-_KTS15_CLASSES = (
-    (0, 19, 25, 30, 32),
-    (1, 9, 18, 28, 34),
-    (2, 10, 17, 21, 23),
-    (3, 11, 14, 22, 33),
-    (4, 12, 13, 24, 27),
-    (5, 7, 16, 26, 31),
-    (6, 8, 15, 20, 29),
-)
-
-
 def kts15() -> tuple[StsInstance, Resolution]:
-    """A resolvable order-15 system: XOR-zero triples of the 4-bit nonzero codes.
-
-    The constant class list is untrusted input here: both the triple-system
-    axioms and the resolution are re-checked before returning.
-    """
+    """A resolvable order-15 system: XOR-zero triples of the 4-bit nonzero codes,
+    with the resolution the deterministic search finds and certifies."""
     a, b = np.triu_indices(16, 1)
     c = a ^ b
     keep = c > b  # also drops code a = 0, for which c = b
     sts = StsInstance(BlockDesign(15, np.stack([a[keep], b[keep], c[keep]], axis=1) - 1))
-    resolution = Resolution(_KTS15_CLASSES)
-    verify_resolution(sts.design, resolution).require(
-        AssertionError, "stored order-15 resolution invalid"
-    )
-    return sts, resolution
-
-
-def resolvable_sts(
-    t: int, limits: SearchLimits | None = None
-) -> tuple[StsInstance, Resolution] | None:
-    """A triple system of order t = 3 (mod 6) together with a resolution.
-
-    Powers of three come from the affine systems, 15 from stock, orders
-    9 (mod 18) from the grouped composition over order t/3, and anything
-    else from budgeted search on the Bose system (None = budget ran out,
-    not a nonexistence proof).
-    """
-    if t % 6 != 3:
-        raise ValueError(f"resolvable triple systems need order 3 (mod 6), got {t}")
-    m, k = t, 0
-    while m % 3 == 0:
-        m //= 3
-        k += 1
-    if m == 1:
-        ag = affine_geometry(k)
-        return ag.sts, ag.standard_resolution
-    if t == 15:
-        return kts15()
-    if (t // 3) % 6 == 3:
-        return _resolvable_by_composition(t, limits)
-    sts = small_sts(t)
-    found = find_resolution(sts, limits)
-    return None if found is None else (sts, found)
-
-
-def _resolvable_by_composition(t, limits):
-    from .composition import Decomposition, compose, compose_resolution
-
-    sub = resolvable_sts(t // 3, limits)
-    if sub is None:
-        return None
-    sub_sts, sub_res = sub
-    main, mate = latin_with_mate(t // 3)
-    td = td_from_latin(main)
-    td_res = resolve_td(main, mate)
-    ag1 = affine_geometry(1)
-    dec = Decomposition(k=1, T=t // 3, sub_systems=(sub_sts,) * 3, tds={(0, 1, 2): td})
-    res = compose_resolution(
-        dec,
-        sub_resolutions=(sub_res,) * 3,
-        td_resolutions={(0, 1, 2): td_res},
-        outer_resolution=ag1.standard_resolution,
-    )
-    return compose(dec), res
+    return sts, find_resolution(sts)

@@ -67,6 +67,12 @@ def rank(m, p: int = 3) -> int:
     return len(rref(m, p)[1])
 
 
+def _check_layout(v: int, k: int) -> None:
+    """Raise unless 3^k divides v; from k = v's bit length on, 3^k > |v| uncomputed."""
+    if k < 0 or v != 0 and (k >= abs(v).bit_length() or v % 3**k):
+        raise ValueError(f"3^k must divide v, got v={v}, k={k}")
+
+
 def generator_gvk(v: int, k: int) -> np.ndarray:
     """Generator matrix of the all-one-plus-tuple-rows code on v points.
 
@@ -76,8 +82,7 @@ def generator_gvk(v: int, k: int) -> np.ndarray:
     """
     if v <= 0 or k < 0:
         raise ValueError(f"need v >= 1 and k >= 0, got v={v}, k={k}")
-    if v % 3**k != 0:
-        raise ValueError(f"3^k must divide v, got v={v}, k={k}")
+    _check_layout(v, k)
     m = v // 3**k
     g = np.ones((k + 1, v), dtype=np.int64)
     cols = np.arange(v)

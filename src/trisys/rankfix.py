@@ -212,8 +212,7 @@ def force_exact_rank(s: StsInstance, k: int) -> StsInstance:
     one pair-coverage check of a v-point system.
     """
     v = s.v
-    if k < 0 or v % 3**k != 0:
-        raise ValueError(f"3^k must divide v, got v={v}, k={k}")
+    gf3._check_layout(v, k)
     layout = gf3.generator_gvk(v, k)
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -5,11 +5,11 @@ from itertools import combinations, product
 import pytest
 
 from trisys import gf3
+from trisys.composition import resolvable_sts
 from trisys.constructions import (
     affine_geometry,
     kts15,
     latin_with_mate,
-    resolvable_sts,
     small_sts,
 )
 from trisys.designs import (

@@ -17,12 +17,17 @@ import pytest
 
 from trisys import bounds, composition, constructions, gf3, rankfix, resolution
 from trisys.cli import main
-from trisys.composition import Decomposition, compose, compose_resolution, random_decomposition
+from trisys.composition import (
+    Decomposition,
+    compose,
+    compose_resolution,
+    random_decomposition,
+    resolvable_sts,
+)
 from trisys.constructions import (
     affine_geometry,
     kts15,
     latin_with_mate,
-    resolvable_sts,
     small_sts,
 )
 from trisys.designs import (
@@ -170,6 +175,15 @@ INPUT_CASES = {
     "generator-negative-k": (
         lambda: gf3.generator_gvk(9, -1), ValueError, "need v >= 1 and k >= 0, got v=9, k=-1",
     ),
+    # 3^k is never computed when it cannot divide v: these return at once.
+    "generator-huge-k": (
+        lambda: gf3.generator_gvk(21, 10**9),
+        ValueError, "3^k must divide v, got v=21, k=1000000000",
+    ),
+    "decompose-huge-k": (
+        lambda: composition.decompose(COMPOSED_21, 10**9),
+        ValueError, "3^k must divide v, got v=21, k=1000000000",
+    ),
     "subspace-row-length": (
         lambda: gf3.Subspace.from_rows([[1, 0, 0]], 4),
         ValueError, "row length does not match ambient dimension",
@@ -271,9 +285,9 @@ def test_internal_certificate_failures(monkeypatch):
     with pytest.raises(AssertionError, match=r"^translation resolution invalid: forced failure$"):
         affine_geometry.__wrapped__(2)
 
-    monkeypatch.setattr(constructions, "verify_resolution", failing_on(15))
+    monkeypatch.setattr(resolution, "verify_resolution", failing_on(15))
     with pytest.raises(
-        AssertionError, match=r"^stored order-15 resolution invalid: forced failure$"
+        AssertionError, match=r"^search produced an invalid resolution: forced failure$"
     ):
         kts15()
 
@@ -475,6 +489,16 @@ EXIT_2_CASES = {
     "force-rank-k-not-dividing": (
         ("construct", "force-rank", "--in", "IN"), dec_file(COMPOSED_21, 2),
         "3^k must divide v, got v=21, k=2",
+    ),
+    # A k whose power cannot divide v is refused before 3^k is computed.
+    "force-rank-huge-k": (
+        ("construct", "force-rank", "--in", "IN"), dec_file(COMPOSED_21, 10**9),
+        "3^k must divide v, got v=21, k=1000000000",
+    ),
+    "verify-orthogonal-huge-k": (
+        ("verify", "IN", "--orthogonal-to", "21,1000000000"),
+        serialize(sts_record(COMPOSED_21)),
+        "3^k must divide v, got v=21, k=1000000000",
     ),
     # G(0, 0) is checked before k, as the layout is built first.
     "force-rank-no-points": (

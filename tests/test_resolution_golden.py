@@ -11,8 +11,8 @@ import hashlib
 import pytest
 
 from trisys import io
-from trisys.composition import split_standard_resolution
-from trisys.constructions import affine_geometry, resolvable_sts
+from trisys.composition import resolvable_sts, split_standard_resolution
+from trisys.constructions import affine_geometry
 from trisys.designs import BlockDesign, transport_resolution
 
 

@@ -48,6 +48,20 @@ def test_kts15_golden():
     )
 
 
+def test_kts15_resolution_classes_golden():
+    # The resolution the search finds for the order-15 system: a change in
+    # the search engine must not silently change the stock system.
+    assert kts15()[1].classes == (
+        (0, 19, 25, 30, 32),
+        (1, 9, 18, 28, 34),
+        (2, 10, 17, 21, 23),
+        (3, 11, 14, 22, 33),
+        (4, 12, 13, 24, 27),
+        (5, 7, 16, 26, 31),
+        (6, 8, 15, 20, 29),
+    )
+
+
 def test_layout_sort_rejects_uneven_column_tuples():
     # The dual is spanned by the all-one vector and the unit vector of
     # point 1, so the one row extending the all-one vector takes one value
