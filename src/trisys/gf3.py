@@ -68,7 +68,8 @@ def rank(m, p: int = 3) -> int:
 
 
 def _check_layout(v: int, k: int) -> None:
-    """Raise unless 3^k divides v; from k = v's bit length on, 3^k > |v| uncomputed."""
+    """Raise unless 3^k divides v.  3^k > |v| once k reaches v's bit length,
+    so a nonzero v is refused there without computing 3^k."""
     if k < 0 or v != 0 and (k >= abs(v).bit_length() or v % 3**k):
         raise ValueError(f"3^k must divide v, got v={v}, k={k}")
 
