@@ -58,10 +58,11 @@ class Decomposition:
     3^(k-t) sub-systems of order m = 3^t * T, each orthogonal to its local
     layout code G(m, t), plus one TD per zero-sum group triple that meets
     more than one super-group.  Sub-system j uses local points 0..m-1 and
-    is embedded on points j*m..(j+1)*m-1; the TD keyed by sorted triple
-    (i1,i2,i3) uses canonical local groups mapped onto S_i1, S_i2, S_i3 in
-    order.  The plain case t = 0 has 3^k sub-systems of order T and a TD
-    for every zero-sum triple."""
+    is embedded on points j*m..(j+1)*m-1.  `tds` is keyed by exactly the
+    sorted cross triples (split_ag's outer list, kept in that order); the
+    TD of (i1,i2,i3) uses canonical local groups mapped onto S_i1, S_i2,
+    S_i3 in order.  The plain case t = 0 has 3^k
+    sub-systems of order T and a TD for every zero-sum triple."""
 
     k: int
     T: int
@@ -75,9 +76,6 @@ class Decomposition:
                 f"need 0 <= t <= k and T >= 1, got k={self.k}, t={self.t}, T={self.T}"
             )
         object.__setattr__(self, "sub_systems", tuple(self.sub_systems))
-        object.__setattr__(
-            self, "tds", {tuple(sorted(key)): td for key, td in self.tds.items()}
-        )
         n = 3 ** (self.k - self.t)
         m = 3**self.t * self.T
         if len(self.sub_systems) != n:
@@ -93,6 +91,7 @@ class Decomposition:
         _, outer = split_ag(self.k, self.t)
         if set(self.tds) != set(outer):
             raise ValueError("TD keys must be exactly the cross-group triples")
+        object.__setattr__(self, "tds", {key: self.tds[key] for key in outer})
         groups = canonical_td_groups(self.T)
         for key, td in self.tds.items():
             if td.groups != groups:
@@ -109,10 +108,8 @@ def embedded_parts(d: Decomposition) -> tuple[list[np.ndarray], dict[Block, np.n
     local point a sent to triple[a // T] * T + a % T (rows stay sorted)."""
     m = 3**d.t * d.T
     subs = [sub.array + j * m for j, sub in enumerate(d.sub_systems)]
-    tds = {}
-    for triple in sorted(d.tds):
-        a = d.tds[triple].array
-        tds[triple] = np.array(triple)[a // d.T] * d.T + a % d.T
+    tds = {triple: np.array(triple)[td.array // d.T] * d.T + td.array % d.T
+           for triple, td in d.tds.items()}
     return subs, tds
 
 
@@ -205,24 +202,23 @@ def compose_resolution(
 
     Produces (v-1)/2 classes: each sub-system class index contributes one
     merged class, and each (outer class, TD class index) pair contributes
-    one class merged across that outer class's transversal designs.  The
-    outer resolution indexes the cross-group triples in sorted order: all
-    zero-sum triples for t = 0, those meeting more than one super-group
-    otherwise.
+    one class merged across that outer class's transversal designs.  Keys
+    of td_resolutions are exactly dec.tds's, the sorted cross triples, and
+    the outer resolution indexes them in sorted order: all zero-sum triples
+    for t = 0, those meeting more than one super-group otherwise.
     """
     subs = dec.sub_systems
     if len(sub_resolutions) != len(subs):
         raise ValueError("one resolution per sub-system is required")
     for s, r in zip(subs, sub_resolutions):
         verify_resolution(s.design, r).require(ValueError, "invalid sub-system resolution")
-    td_resolutions = {tuple(sorted(key)): r for key, r in td_resolutions.items()}
     if set(td_resolutions) != set(dec.tds):
         raise ValueError("need exactly one resolution per transversal design")
-    for key, r in td_resolutions.items():
-        verify_resolution(dec.tds[key].design, r).require(
+    for key, td in dec.tds.items():
+        verify_resolution(td.design, td_resolutions[key]).require(
             ValueError, f"invalid TD resolution at {key}"
         )
-    outer = BlockDesign(3**dec.k, tuple(split_ag(dec.k, dec.t)[1]))
+    outer = BlockDesign(3**dec.k, tuple(dec.tds))  # row i is the i-th key
     verify_resolution(outer, outer_resolution).require(ValueError, "invalid outer resolution")
 
     # The blocks of compose(dec), whose certificates are compose's to give;
@@ -237,10 +233,9 @@ def compose_resolution(
     # Class j of every sub-system makes one class, and so does class j of
     # the TDs on the triples of one outer class.
     classes = [np.concatenate(cs) for cs in zip(*map(classes_of, sub_parts, sub_resolutions))]
-    td_classes = {tr: classes_of(a, td_resolutions[tr]) for tr, a in td_parts.items()}
+    td_classes = [classes_of(a, td_resolutions[tr]) for tr, a in td_parts.items()]
     for outer_cls in outer_resolution.class_arrays():
-        triples = [tuple(b) for b in outer.array[outer_cls].tolist()]
-        classes += [np.concatenate(cs) for cs in zip(*(td_classes[tr] for tr in triples))]
+        classes += [np.concatenate(cs) for cs in zip(*(td_classes[i] for i in outer_cls.tolist()))]
     resolution = Resolution([np.sort(c) for c in classes])
     verify_resolution(composed, resolution).require(AssertionError, "assembled resolution invalid")
     return resolution

@@ -4,7 +4,8 @@ A BlockDesign takes its blocks as triples or a (b, 3) int array and stores
 them once, as one read-only int64 array (`array`: rows sorted, in
 lexicographic order) on which code computes, compares and hashes; `blocks`,
 the sorted 3-tuple view, is computed on each access, for output only, and
-`lookup` finds blocks by binary search on their codes.  The STS and TD
+`lookup` finds blocks by binary search on their codes, or on (a, b, c)
+records once v is too large for a code to fit in int64.  The STS and TD
 axioms are one check on the array: every required pair p < q, coded
 p*v + q, must occur in exactly one block.
 A Resolution stores its classes in order as one read-only int64 `index` of
@@ -75,8 +76,8 @@ def _sorted_block(b, v: int) -> Block:
     return t
 
 
-@dataclass(frozen=True)
-class BlockDesign:
+@dataclass(frozen=True, eq=False)
+class BlockDesign(gf3._ArrayValue):
     """A point set 0..v-1 plus a sorted, duplicate-free set of 3-blocks."""
 
     v: int
@@ -107,20 +108,17 @@ class BlockDesign:
     def blocks(self) -> tuple[Block, ...]:
         return tuple(zip(*self.array.T.tolist()))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BlockDesign):
-            return NotImplemented
-        return self.v == other.v and np.array_equal(self.array, other.array)
-
-    def __hash__(self) -> int:
-        return hash((self.v, self.array.tobytes()))
-
     def lookup(self, rows: np.ndarray) -> np.ndarray:
         """Indices into `array` of the blocks given as sorted rows of an
-        (n, 3) int array; KeyError naming the first row that is no block."""
+        (n, 3) int array; KeyError naming the first row that is no block.
+        Rows are searched by the code (a*v + b)*v + c while v^3 fits in
+        int64, and beyond that as (a, b, c) records, compared field by field."""
         v, a = self.v, self.array
-        pos = np.searchsorted((a[:, 0] * v + a[:, 1]) * v + a[:, 2],
-                              (rows[:, 0] * v + rows[:, 1]) * v + rows[:, 2])
+        if v**3 <= 1 << 63:
+            keys = [(r[:, 0] * v + r[:, 1]) * v + r[:, 2] for r in (a, rows)]
+        else:
+            keys = [np.ascontiguousarray(r, dtype=np.int64).view("i8,i8,i8").ravel() for r in (a, rows)]
+        pos = np.searchsorted(*keys)
         found = pos < len(a)
         found[found] = (a[pos[found]] == rows[found]).all(axis=1)
         if not found.all():
@@ -252,8 +250,8 @@ def _unchecked(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True, init=False)
-class Resolution:
+@dataclass(frozen=True, eq=False, init=False)
+class Resolution(gf3._ArrayValue):
     """Parallel classes of block indices into the owning design, given as
     sequences or 1-D arrays; `classes` is a tuple view computed on access."""
 
@@ -282,14 +280,6 @@ class Resolution:
     @property
     def n_classes(self) -> int:
         return len(self.bounds) - 1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Resolution):
-            return NotImplemented
-        return np.array_equal(self.index, other.index) and np.array_equal(self.bounds, other.bounds)
-
-    def __hash__(self) -> int:
-        return hash((self.index.tobytes(), self.bounds.tobytes()))
 
 
 def verify_resolution(d: BlockDesign, r: Resolution) -> VerificationReport:
@@ -374,8 +364,8 @@ def dual_space(d: BlockDesign) -> gf3.Subspace:
     return gf3.Subspace.from_rows(_verified_null_basis(d.array, d.v, 3), d.v)
 
 
-@dataclass(frozen=True)
-class LatinSquare:
+@dataclass(frozen=True, eq=False)
+class LatinSquare(gf3._ArrayValue):
     """A read-only T x T int64 array whose rows and columns are permutations of 0..T-1."""
 
     order: int
@@ -394,14 +384,6 @@ class LatinSquare:
             raise ValueError(f"column {bad.argmax()} is not a permutation")
         a.flags.writeable = False
         object.__setattr__(self, "cells", a)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LatinSquare):
-            return NotImplemented
-        return self.order == other.order and np.array_equal(self.cells, other.cells)
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.cells.tobytes()))
 
 
 def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:

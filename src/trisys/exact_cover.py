@@ -17,9 +17,10 @@ formed when the row is tried.  A precomputed rows x rows clash table would
 cost rows^2 / 8 bytes (125 GB at 10^6 rows); the column masks cost
 n_cols * rows / 8 bytes, about 15 MB for 117 columns and 10^6 rows.
 
-A node is one row try.  A node budget caps the search; `complete` in the
-result tells whether the space was exhausted, so "no solution found" and
-"ran out of budget" stay distinguishable.
+A node is one row try.  A node budget caps the search, and so does the
+solution cap (0 asks for none: no search); `complete` in the result tells
+whether the space was exhausted, so "no solution found" and "ran out of
+budget" stay distinguishable.
 """
 
 from __future__ import annotations
@@ -63,6 +64,10 @@ class ExactCover:
         return [int.from_bytes(buf, "little") for buf in bufs]
 
     def solve(self, max_solutions: int = 1, node_budget: int = 10**8) -> CoverResult:
+        if max_solutions < 0:
+            raise ValueError(f"max_solutions must be >= 0, got {max_solutions}")
+        if not max_solutions:
+            return CoverResult((), False, 0)
         masks = self._column_masks()
         rows = self._rows
         none = len(rows) + 1  # more candidates than any column has

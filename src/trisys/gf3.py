@@ -3,12 +3,13 @@
 Matrices are dense 2-D numpy int64 arrays with entries reduced mod p.
 Everything here is integer arithmetic; no floating point is used anywhere.
 Subspaces carry a canonical reduced-row-echelon basis, so two equal
-subspaces compare equal entry for entry.
+subspaces compare equal entry for entry.  _ArrayValue, the package's one
+value equality, compares and hashes every field, arrays by content.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,8 +93,29 @@ def generator_gvk(v: int, k: int) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True)
-class Subspace:
+class _ArrayValue:
+    """Equal to a value of the same type whose fields are all equal, arrays
+    by content; never to anything else, not even to its own arrays (numpy
+    defers to the class, so `value == array` is a plain False)."""
+
+    __array_ufunc__ = None
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        for name in self.__dataclass_fields__:
+            a, b = getattr(self, name), getattr(other, name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        values = (getattr(self, name) for name in self.__dataclass_fields__)
+        return hash(tuple(a.tobytes() if isinstance(a, np.ndarray) else a for a in values))
+
+
+@dataclass(frozen=True, eq=False)
+class Subspace(_ArrayValue):
     """A subspace of GF(3)^n held as a canonical RREF basis.
 
     Canonical form makes equality of subspaces a plain array comparison.
@@ -101,7 +123,7 @@ class Subspace:
     """
 
     ambient_dim: int
-    basis: np.ndarray = field(compare=False)
+    basis: np.ndarray
 
     @staticmethod
     def from_rows(rows, ambient_dim: int | None = None) -> "Subspace":
@@ -126,16 +148,6 @@ class Subspace:
         if v.shape != (self.ambient_dim,):
             raise ValueError("vector length does not match ambient dimension")
         return rank(np.vstack([self.basis, v]), 3) == self.dim
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and np.array_equal(
-            self.basis, other.basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis.tobytes()))
 
 
 def row_space(m) -> Subspace:

@@ -57,7 +57,20 @@ def test_block_design_equality_and_hash_follow_the_array():
     assert BlockDesign(8, FANO) != from_triples
     assert BlockDesign(7, FANO[1:]) != from_triples
     assert from_triples != FANO
+    assert from_triples != from_triples.array
     assert from_triples != StsInstance(from_triples)
+
+
+def test_block_design_lookup_past_int64_codes():
+    # At v = 3,000,000 the code (a*v + b)*v + c of the last block exceeds 2^63.
+    v = 3_000_000
+    d = BlockDesign(v, [(0, 1, 2), (1_100_000, 1_100_001, 1_100_002),
+                        (2_000_000, 2_000_001, 2_000_002), (v - 3, v - 2, v - 1)])
+    assert d.lookup(d.array).tolist() == [0, 1, 2, 3]
+    assert d.lookup(d.array[::-1]).tolist() == [3, 2, 1, 0]
+    with pytest.raises(KeyError) as info:
+        d.lookup(np.array([[0, 1, 2], [0, 1, v - 1]]))
+    assert info.value.args == ((0, 1, v - 1),)
 
 
 def test_block_design_rejects_bad_blocks():
@@ -179,6 +192,10 @@ def test_resolution_equality_and_hash():
     assert Resolution(((0, 1), (2,))) != Resolution(((0,), (1, 2)))
     assert Resolution(((),)) != Resolution(())
     assert from_tuples != classes
+    assert from_tuples != from_tuples.index
+    # Equal bounds, other index; equal index, other bounds.
+    assert Resolution(((0, 1), (2, 3))) != Resolution(((0, 1), (2, 4)))
+    assert Resolution(((0, 1), (2, 3))) != Resolution(((0, 1, 2), (3,)))
 
 
 def test_resolution_classes_hold_python_ints():
@@ -273,6 +290,9 @@ def test_latin_square_equality_and_hash():
     assert hash(from_tuples) == hash(from_array)
     assert len({from_tuples, from_array, other}) == 2
     assert from_tuples != other and from_array != other
+    assert LatinSquare(1, ((0,),)) != LatinSquare(2, ((0, 1), (1, 0)))
+    assert from_tuples != from_tuples.cells
+    assert from_tuples != rows
 
 
 def cell_lists(sq):

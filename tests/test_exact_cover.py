@@ -107,6 +107,19 @@ def test_no_columns_has_the_empty_cover():
     assert solve_exact_cover(0, [], max_solutions=2) == CoverResult(((),), True, 0)
 
 
+def test_solution_cap_of_zero_searches_nothing():
+    rows = [(0,), (1,), (2,), (0, 1, 2)]
+    assert solve_exact_cover(3, rows, max_solutions=0) == CoverResult((), False, 0)
+    assert solve_exact_cover(3, rows, max_solutions=1).solutions == ((0, 1, 2),)
+
+
+@pytest.mark.parametrize("cap", [-1, -5])
+def test_negative_solution_cap_raises_value_error(cap):
+    with pytest.raises(ValueError) as info:
+        solve_exact_cover(3, [(0,), (1,), (2,), (0, 1, 2)], max_solutions=cap)
+    assert str(info.value) == f"max_solutions must be >= 0, got {cap}"
+
+
 def test_empty_row_is_never_chosen():
     res = solve_exact_cover(2, [(), (0, 1), ()], max_solutions=5)
     assert res == CoverResult(((1,),), True, 1)

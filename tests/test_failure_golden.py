@@ -100,6 +100,21 @@ CONSTRUCTOR_CASES = {
     "decomposition-td-keys": (
         order3_parts(tds={}), "TD keys must be exactly the cross-group triples",
     ),
+    # TD keys are the sorted cross triples as given; none is re-keyed.
+    "decomposition-td-key-twice": (
+        order3_parts(tds={(0, 1, 2): td_from_latin(latin_with_mate(3)[0]),
+                          (2, 1, 0): td_from_latin(latin_with_mate(3)[1])}),
+        "TD keys must be exactly the cross-group triples",
+    ),
+    "decomposition-td-key-unsorted": (
+        order3_parts(tds={(2, 1, 0): td_from_latin(latin_with_mate(3)[0])}),
+        "TD keys must be exactly the cross-group triples",
+    ),
+    "compose-resolution-td-key-twice": (
+        lambda: order9_resolved(td_resolutions={(0, 1, 2): resolve_td(*latin_with_mate(3)),
+                                                (1, 0, 2): resolve_td(*latin_with_mate(3))}),
+        "need exactly one resolution per transversal design",
+    ),
     "decomposition-td-order": (
         order3_parts(tds={(0, 1, 2): td_from_latin(latin_with_mate(7)[0])}),
         "triple (0, 1, 2): TD must have canonical groups of size 3",
@@ -141,6 +156,12 @@ def order9():
         "outer_resolution": affine_geometry(1).standard_resolution,
     }
     return dec, parts
+
+
+def order9_resolved(**change):
+    """compose_resolution of order9() with `change` replacing any of its parts."""
+    dec, parts = order9()
+    return compose_resolution(dec, **{**parts, **change})
 
 
 INGREDIENT_CASES = {

@@ -158,6 +158,10 @@ def test_subspace_canonical_equality():
     b = gf3.row_space([[1, 2, 0], [2, 2, 2]])  # same span, different spanning set
     assert a == b
     assert hash(a) == hash(b)
+    assert a != gf3.row_space([[1, 1, 1]])
+    assert a != a.basis
+    assert gf3.Subspace(4, a.basis) != a  # the ambient dimension alone differs
+    assert gf3.Subspace.zero(3) != gf3.Subspace.zero(4)
 
 
 @pytest.mark.parametrize("image", [[0, 0, 1], [2, 2, 2], [0, 1], [0, 1, 2, 3], [0, 1, 3]])
