@@ -117,7 +117,7 @@ class BlockDesign(gf3._ArrayValue):
         if v**3 <= 1 << 63:
             keys = [(r[:, 0] * v + r[:, 1]) * v + r[:, 2] for r in (a, rows)]
         else:
-            keys = [np.ascontiguousarray(r, dtype=np.int64).view("i8,i8,i8").ravel() for r in (a, rows)]
+            keys = [np.ascontiguousarray(r, np.int64).view("i8,i8,i8").ravel() for r in (a, rows)]
         pos = np.searchsorted(*keys)
         found = pos < len(a)
         found[found] = (a[pos[found]] == rows[found]).all(axis=1)

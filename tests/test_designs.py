@@ -61,11 +61,13 @@ def test_block_design_equality_and_hash_follow_the_array():
     assert from_triples != StsInstance(from_triples)
 
 
-def test_block_design_lookup_past_int64_codes():
-    # At v = 3,000,000 the code (a*v + b)*v + c of the last block exceeds 2^63.
-    v = 3_000_000
-    d = BlockDesign(v, [(0, 1, 2), (1_100_000, 1_100_001, 1_100_002),
-                        (2_000_000, 2_000_001, 2_000_002), (v - 3, v - 2, v - 1)])
+@pytest.mark.parametrize("v", [2**21, 2**21 + 1, 3_000_000])
+def test_block_design_lookup_past_int64_codes(v):
+    # The code (a*v + b)*v + c of the last block is v^3 - 1: it fits in
+    # int64 up to v = 2^21 and wraps beyond.  At v = 3,000,000 the middle
+    # blocks start at 1,100,000 and 2,000,000.
+    a, b = 11 * v // 30, 2 * v // 3
+    d = BlockDesign(v, [(0, 1, 2), (a, a + 1, a + 2), (b, b + 1, b + 2), (v - 3, v - 2, v - 1)])
     assert d.lookup(d.array).tolist() == [0, 1, 2, 3]
     assert d.lookup(d.array[::-1]).tolist() == [3, 2, 1, 0]
     with pytest.raises(KeyError) as info:
