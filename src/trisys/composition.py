@@ -8,10 +8,10 @@ A Decomposition at split level t coarsens the grouping to 3^(k-t)
 super-groups of 3^t point groups each: its sub-systems have order
 3^t * T and are themselves orthogonal to their local layout code, and
 only the triples meeting more than one super-group carry a TD.  The
-plain grouping is t = 0.  Both directions work on block arrays:
-embedded_parts moves each ingredient's array into the composed points,
-decompose splits the composed array, and resolution assembly maps each
-ingredient class through its part's composed indices (BlockDesign.lookup).
+plain grouping is t = 0.  A TD on canonical groups is its Latin square,
+so all TDs are one stack of squares, drawn, placed (embedded_parts) and
+read back (decompose) in bulk; resolution assembly maps each ingredient
+class through its part's composed indices (BlockDesign.lookup).
 The catalogue of resolvable ingredients, resolvable_sts, lives here
 because it composes orders 9 (mod 18) over order t/3.
 """
@@ -19,7 +19,7 @@ because it composes orders 9 (mod 18) over order t/3.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Mapping, Sequence
 
@@ -34,6 +34,7 @@ from .designs import (
     Resolution,
     StsInstance,
     TdInstance,
+    _non_permutations,
     _unchecked,
     canonical_td_groups,
     permute_sts,
@@ -47,70 +48,89 @@ from .resolution import SearchLimits, find_resolution
 @cache
 def ag_blocks(k: int) -> tuple[Block, ...]:
     """Sorted zero-sum triples of ternary k-tuples (the group-level system)."""
-    if k == 0:
-        return ()
-    return affine_geometry(k).sts.design.blocks
+    return affine_geometry(k).sts.design.blocks if k else ()
 
 
-@dataclass(frozen=True)
-class Decomposition:
+@dataclass(frozen=True, eq=False, init=False)
+class Decomposition(gf3._ArrayValue):
     """Ingredients of a composed system at split level t (0 <= t <= k):
     3^(k-t) sub-systems of order m = 3^t * T, each orthogonal to its local
     layout code G(m, t), plus one TD per zero-sum group triple that meets
     more than one super-group.  Sub-system j uses local points 0..m-1 and
-    is embedded on points j*m..(j+1)*m-1.  `tds` is keyed by exactly the
-    sorted cross triples (split_ag's outer list, kept in that order); the
-    TD of (i1,i2,i3) uses canonical local groups mapped onto S_i1, S_i2,
-    S_i3 in order.  The plain case t = 0 has 3^k
-    sub-systems of order T and a TD for every zero-sum triple."""
+    is embedded on points j*m..(j+1)*m-1.  The TDs are one read-only
+    (n, T, T) int64 stack of Latin `squares`, one per sorted cross triple
+    in split_ag's order; the TD of (i1,i2,i3) is its square's td_from_latin,
+    whose canonical groups map onto S_i1, S_i2, S_i3 in order.  `tds` is
+    given as that stack or as a mapping keyed by exactly those triples, and
+    reads back as the mapping, built on access.  The plain case t = 0 has
+    3^k sub-systems of order T and a TD for every zero-sum triple."""
 
     k: int
     T: int
     sub_systems: tuple[StsInstance, ...]
-    tds: Mapping[Block, TdInstance]
+    squares: np.ndarray = field(repr=False)
     t: int = 0
 
-    def __post_init__(self):
-        if not 0 <= self.t <= self.k or self.T < 1:
-            raise ValueError(
-                f"need 0 <= t <= k and T >= 1, got k={self.k}, t={self.t}, T={self.T}"
-            )
-        object.__setattr__(self, "sub_systems", tuple(self.sub_systems))
-        n = 3 ** (self.k - self.t)
-        m = 3**self.t * self.T
-        if len(self.sub_systems) != n:
-            raise ValueError(f"expected {n} sub-systems, got {len(self.sub_systems)}")
-        local = gf3.row_space(gf3.generator_gvk(m, self.t))
-        for j, sub in enumerate(self.sub_systems):
+    def __init__(self, k: int, T: int, sub_systems, tds, t: int = 0):
+        if not 0 <= t <= k or T < 1:
+            raise ValueError(f"need 0 <= t <= k and T >= 1, got k={k}, t={t}, T={T}")
+        sub_systems = tuple(sub_systems)
+        n, m = 3 ** (k - t), 3**t * T
+        if len(sub_systems) != n:
+            raise ValueError(f"expected {n} sub-systems, got {len(sub_systems)}")
+        local = gf3.row_space(gf3.generator_gvk(m, t))
+        for j, sub in enumerate(sub_systems):
             if sub.v != m:
                 raise ValueError(f"sub-system {j} has order {sub.v}, expected {m}")
             if not gf3.is_orthogonal(sub, local):
-                raise ValueError(
-                    f"sub-system {j} is not orthogonal to its local G({m},{self.t})"
-                )
-        _, outer = split_ag(self.k, self.t)
-        if set(self.tds) != set(outer):
-            raise ValueError("TD keys must be exactly the cross-group triples")
-        object.__setattr__(self, "tds", {key: self.tds[key] for key in outer})
-        groups = canonical_td_groups(self.T)
-        for key, td in self.tds.items():
-            if td.groups != groups:
-                raise ValueError(f"triple {key}: TD must have canonical groups of size {self.T}")
+                raise ValueError(f"sub-system {j} is not orthogonal to its local G({m},{t})")
+        _, outer = split_ag(k, t)
+        if isinstance(tds, Mapping):
+            if set(tds) != set(outer):
+                raise ValueError("TD keys must be exactly the cross-group triples")
+            for key in outer:
+                if tds[key].groups != canonical_td_groups(T):
+                    raise ValueError(f"triple {key}: TD must have canonical groups of size {T}")
+            # A TD on the canonical groups lists (r, T+c, 2T+L[r,c]) cell by cell.
+            tds = np.array([tds[key].array[:, 2] - 2 * T for key in outer]).reshape(-1, T, T)
+        squares = np.array(tds, dtype=np.int64)
+        if squares.shape != (len(outer), T, T):
+            raise ValueError(f"TD stack must have shape {(len(outer), T, T)}, got {squares.shape}")
+        for line, fault, bad in (
+            ("row", f"holds a symbol outside 0..{T - 1}", ((squares < 0) | (squares >= T)).any(2)),
+            ("row", "is not a permutation", _non_permutations(squares)),
+            ("column", "is not a permutation", _non_permutations(squares.transpose(0, 2, 1))),
+        ):
+            if bad.any():
+                i, j = divmod(int(bad.argmax()), T)
+                raise ValueError(f"triple {outer[i]}: {line} {j} {fault}")
+        squares.flags.writeable = False
+        vars(self).update(k=k, T=T, sub_systems=sub_systems, squares=squares, t=t)
 
     @property
     def v(self) -> int:
         return 3**self.k * self.T
 
+    @property
+    def tds(self) -> dict[Block, TdInstance]:
+        """The TD of each cross triple, in order, built from its square."""
+        _, outer = split_ag(self.k, self.t)
+        return {key: td_from_latin(LatinSquare(self.T, sq)) for key, sq in zip(outer, self.squares)}
+
 
 def embedded_parts(d: Decomposition) -> tuple[list[np.ndarray], dict[Block, np.ndarray]]:
     """Every ingredient's block array in the points of the composed system:
-    sub-system j shifted by j * 3^t * T, and the TD of a group triple with
-    local point a sent to triple[a // T] * T + a % T (rows stay sorted)."""
+    sub-system j shifted by j * 3^t * T, and on cross triple (i1, i2, i3)
+    the blocks (i1*T + r, i2*T + c, i3*T + L[r, c]) of its square L, cell by
+    cell as its TD lists them; all TDs are placed at once, as one array."""
     m = 3**d.t * d.T
     subs = [sub.array + j * m for j, sub in enumerate(d.sub_systems)]
-    tds = {triple: np.array(triple)[td.array // d.T] * d.T + td.array % d.T
-           for triple, td in d.tds.items()}
-    return subs, tds
+    n, T = len(d.squares), d.T
+    _, outer = split_ag(d.k, d.t)
+    r, c = np.divmod(np.arange(T * T), T)
+    cells = np.stack(np.broadcast_arrays(r, c, d.squares.reshape(n, T * T)), axis=2)
+    placed = np.array(outer, dtype=np.int64).reshape(n, 1, 3) * T + cells
+    return subs, dict(zip(outer, placed))
 
 
 def compose(d: Decomposition) -> StsInstance:
@@ -151,13 +171,9 @@ def decompose(s: StsInstance, k: int) -> Decomposition:
     subs = tuple(_unchecked(StsInstance, design=BlockDesign(t, b))
                  for b in np.split(a[inside] % t, n))
     codes = (groups[~inside, 0] * n + groups[~inside, 1]) * n + groups[~inside, 2]
+    # By triple, then cell by cell: (i1*t + r, i2*t + c, i3*t + L[r, c]) in row-major order.
     cross = a[~inside][np.argsort(codes, kind="stable")]
-    local = np.arange(3) * t + cross % t
-    tds = {
-        triple: _unchecked(TdInstance, design=BlockDesign(3 * t, b), groups=canonical_td_groups(t))
-        for triple, b in zip(ag_blocks(k), np.split(local, np.arange(t * t, len(local), t * t)))
-    }
-    return Decomposition(k=k, T=t, sub_systems=subs, tds=tds)
+    return Decomposition(k=k, T=t, sub_systems=subs, tds=(cross[:, 2] % t).reshape(-1, t, t))
 
 
 def split_ag(k: int, t: int) -> tuple[list[list[Block]], list[Block]]:
@@ -168,12 +184,8 @@ def split_ag(k: int, t: int) -> tuple[list[list[Block]], list[Block]]:
     size = 3**t
     inner: list[list[Block]] = [[] for _ in range(3 ** (k - t))]
     outer: list[Block] = []
-    for blk in ag_blocks(k):
-        js = {i // size for i in blk}
-        if len(js) == 1:
-            inner[js.pop()].append(blk)
-        else:
-            outer.append(blk)
+    for blk in ag_blocks(k):  # sorted, so inside L_j iff its first and last points are
+        (inner[blk[0] // size] if blk[0] // size == blk[2] // size else outer).append(blk)
     return inner, outer
 
 
@@ -212,13 +224,14 @@ def compose_resolution(
         raise ValueError("one resolution per sub-system is required")
     for s, r in zip(subs, sub_resolutions):
         verify_resolution(s.design, r).require(ValueError, "invalid sub-system resolution")
-    if set(td_resolutions) != set(dec.tds):
+    tds = dec.tds
+    if set(td_resolutions) != set(tds):
         raise ValueError("need exactly one resolution per transversal design")
-    for key, td in dec.tds.items():
+    for key, td in tds.items():
         verify_resolution(td.design, td_resolutions[key]).require(
             ValueError, f"invalid TD resolution at {key}"
         )
-    outer = BlockDesign(3**dec.k, tuple(dec.tds))  # row i is the i-th key
+    outer = BlockDesign(3**dec.k, tuple(tds))  # row i is the i-th key
     verify_resolution(outer, outer_resolution).require(ValueError, "invalid outer resolution")
 
     # The blocks of compose(dec), whose certificates are compose's to give;
@@ -241,12 +254,18 @@ def compose_resolution(
     return resolution
 
 
+def _random_squares(t: int, n: int, rng: random.Random) -> np.ndarray:
+    """An (n, t, t) stack of random relabelings of the cyclic square: per square,
+    rows, columns and symbols are drawn, and cell (r, c) is syms[(rows[r] + cols[c]) % t]."""
+    draws = np.array([rng.sample(range(t), t) for _ in range(3 * n)], dtype=np.int64)
+    rows, cols, syms = draws.reshape(n, 3, t).transpose(1, 0, 2)
+    cells = (rows[:, :, None] + cols[:, None, :]) % t
+    return np.take_along_axis(syms, cells.reshape(n, t * t), axis=1).reshape(n, t, t)
+
+
 def random_latin(t: int, rng: random.Random) -> LatinSquare:
     """A random relabeling (row/column/symbol) of the cyclic square."""
-    rows = rng.sample(range(t), t)
-    cols = rng.sample(range(t), t)
-    syms = rng.sample(range(t), t)
-    return LatinSquare(t, np.array(syms)[np.add.outer(rows, cols) % t])
+    return LatinSquare(t, _random_squares(t, 1, rng)[0])
 
 
 def random_decomposition(
@@ -259,13 +278,12 @@ def random_decomposition(
     base = small_sts(T)
 
     def select(k: int, t: int) -> Decomposition:
-        _, outer = split_ag(k, t)
         if t == 0:
             subs = tuple(permute_sts(base, rng.sample(range(T), T)) for _ in range(3**k))
         else:
             subs = tuple(compose(select(t, 0)) for _ in range(3 ** (k - t)))
-        tds = {triple: td_from_latin(random_latin(T, rng)) for triple in outer}
-        return Decomposition(k=k, T=T, sub_systems=subs, tds=tds, t=t)
+        squares = _random_squares(T, len(split_ag(k, t)[1]), rng)
+        return Decomposition(k=k, T=T, sub_systems=subs, tds=squares, t=t)
 
     return select(k, t)
 
@@ -304,14 +322,11 @@ def _resolvable_by_composition(t, limits):
         return None
     sub_sts, sub_res = sub
     main, mate = latin_with_mate(t // 3)
-    td = td_from_latin(main)
-    td_res = resolve_td(main, mate)
-    ag1 = affine_geometry(1)
-    dec = Decomposition(k=1, T=t // 3, sub_systems=(sub_sts,) * 3, tds={(0, 1, 2): td})
+    dec = Decomposition(k=1, T=t // 3, sub_systems=(sub_sts,) * 3, tds=main.cells[None])
     res = compose_resolution(
         dec,
         sub_resolutions=(sub_res,) * 3,
-        td_resolutions={(0, 1, 2): td_res},
-        outer_resolution=ag1.standard_resolution,
+        td_resolutions={(0, 1, 2): resolve_td(main, mate)},
+        outer_resolution=affine_geometry(1).standard_resolution,
     )
     return compose(dec), res

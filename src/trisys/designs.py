@@ -375,15 +375,25 @@ class LatinSquare(gf3._ArrayValue):
         t = self.order
         if len(self.cells) != t:
             raise ValueError("wrong number of rows")
-        for row in self.cells:
-            if sorted(row) != list(range(t)):
-                raise ValueError(f"row {tuple(int(x) for x in row)} is not a permutation")
-        a = np.array(self.cells, dtype=np.int64).reshape(t, t)
-        bad = (np.sort(a, axis=0) != np.arange(t)[:, None]).any(axis=0)
+        try:
+            a = np.array(self.cells, dtype=np.int64).reshape(t, t)
+        except (TypeError, ValueError, OverflowError):
+            a = None
+        if a is None or _non_permutations(a[None]).any():
+            for row in self.cells:  # in order, so the first bad row is named as given
+                if sorted(row) != list(range(t)):
+                    raise ValueError(f"row {tuple(int(x) for x in row)} is not a permutation")
+            a = np.array(self.cells, dtype=np.int64).reshape(t, t)
+        bad = _non_permutations(a.T[None])[0]
         if bad.any():
             raise ValueError(f"column {bad.argmax()} is not a permutation")
         a.flags.writeable = False
         object.__setattr__(self, "cells", a)
+
+
+def _non_permutations(squares: np.ndarray) -> np.ndarray:
+    """Which rows of an (n, T, T) stack are not permutations of 0..T-1, as an (n, T) mask."""
+    return (np.sort(squares, axis=2) != np.arange(squares.shape[2])).any(axis=2)
 
 
 def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:

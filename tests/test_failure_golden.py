@@ -13,6 +13,7 @@ import json
 import random
 import re
 
+import numpy as np
 import pytest
 
 from trisys import bounds, composition, constructions, gf3, rankfix, resolution
@@ -118,6 +119,23 @@ CONSTRUCTOR_CASES = {
     "decomposition-td-order": (
         order3_parts(tds={(0, 1, 2): td_from_latin(latin_with_mate(7)[0])}),
         "triple (0, 1, 2): TD must have canonical groups of size 3",
+    ),
+    # A stack of squares is checked for its shape, then its symbols, rows and columns.
+    "decomposition-stack-shape": (
+        order3_parts(tds=np.zeros((1, 3, 2), dtype=int)),
+        "TD stack must have shape (1, 3, 3), got (1, 3, 2)",
+    ),
+    "decomposition-stack-symbol-range": (
+        order3_parts(tds=[[[0, 1, 2], [1, 2, 3], [2, 0, 1]]]),
+        "triple (0, 1, 2): row 1 holds a symbol outside 0..2",
+    ),
+    "decomposition-stack-row-not-permutation": (
+        order3_parts(tds=[[[0, 1, 2], [1, 1, 0], [2, 0, 1]]]),
+        "triple (0, 1, 2): row 1 is not a permutation",
+    ),
+    "decomposition-stack-column-not-permutation": (
+        order3_parts(tds=[[[0, 1, 2], [0, 1, 2], [1, 2, 0]]]),
+        "triple (0, 1, 2): column 0 is not a permutation",
     ),
     "latin-row-count": (
         lambda: LatinSquare(3, ((0, 1, 2), (1, 2, 0))), "wrong number of rows",
