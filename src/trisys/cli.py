@@ -30,6 +30,7 @@ from .designs import (
 from .io import (
     DesignFileRecord,
     read_design,
+    resolution_blocks,
     resolution_from_record,
     resolution_record,
     sts_record,
@@ -89,8 +90,8 @@ def _cmd_construct(args) -> int:
         rec = read_design(args.infile)
         if rec.kind != "decomposition" or rec.k is None:
             raise ValueError("force-rank needs a decomposition file (with k)")
-        k, s = rec.k, StsInstance(BlockDesign(rec.v, rec.blocks))
-        del rec  # one tuple per block: about five times the design's array
+        k, s = rec.k, StsInstance(BlockDesign(rec.v, rec.body))
+        del rec
         forced = force_exact_rank(s, k)
         out = out or "forced"
         write_design(f"{out}.sts.jsonl", sts_record(forced, k=k))
@@ -101,7 +102,7 @@ def _cmd_construct(args) -> int:
         rec = read_design(args.infile)
         if rec.kind not in ("sts", "decomposition"):
             raise ValueError("resolve needs an sts (or decomposition) file")
-        s = StsInstance(BlockDesign(rec.v, rec.blocks))
+        s = StsInstance(BlockDesign(rec.v, rec.body))
         del rec
         limits = SearchLimits(node_budget=args.node_budget, max_classes=args.max_classes)
         outcome = search_resolution(s.design, limits)
@@ -146,10 +147,10 @@ def _cmd_verify(args) -> int:
     rec = read_design(args.file)
     try:
         if rec.kind == "resolution":
-            design = BlockDesign(rec.v, tuple(sorted(b for cls in rec.classes for b in cls)))
+            design = BlockDesign(rec.v, resolution_blocks(rec))
             checks = [_entry("resolution", _resolution_check(design, rec))]
         else:
-            design = BlockDesign(rec.v, rec.blocks)
+            design = BlockDesign(rec.v, rec.body)
             if rec.kind != "td":
                 checks = [_entry("sts-axioms", verify_sts(design))]
             elif rec.groups is None:

@@ -63,7 +63,9 @@ class Decomposition(gf3._ArrayValue):
     whose canonical groups map onto S_i1, S_i2, S_i3 in order.  `tds` is
     given as that stack or as a mapping keyed by exactly those triples, and
     reads back as the mapping, built on access.  The plain case t = 0 has
-    3^k sub-systems of order T and a TD for every zero-sum triple."""
+    3^k sub-systems of order T and a TD for every zero-sum triple; its
+    orthogonality check is skipped, since G(T, 0) is the all-one row and
+    every BlockDesign block has 3 distinct points, summing to 0 mod 3."""
 
     k: int
     T: int
@@ -78,11 +80,11 @@ class Decomposition(gf3._ArrayValue):
         n, m = 3 ** (k - t), 3**t * T
         if len(sub_systems) != n:
             raise ValueError(f"expected {n} sub-systems, got {len(sub_systems)}")
-        local = gf3.row_space(gf3.generator_gvk(m, t))
+        local = gf3.row_space(gf3.generator_gvk(m, t)) if t else None
         for j, sub in enumerate(sub_systems):
             if sub.v != m:
                 raise ValueError(f"sub-system {j} has order {sub.v}, expected {m}")
-            if not gf3.is_orthogonal(sub, local):
+            if local is not None and not gf3.is_orthogonal(sub, local):
                 raise ValueError(f"sub-system {j} is not orthogonal to its local G({m},{t})")
         _, outer = split_ag(k, t)
         if isinstance(tds, Mapping):

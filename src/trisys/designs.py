@@ -3,11 +3,12 @@
 A BlockDesign takes its blocks as triples or a (b, 3) int array and stores
 them once, as one read-only int64 array (`array`: rows sorted, in
 lexicographic order) on which code computes, compares and hashes; `blocks`,
-the sorted 3-tuple view, is computed on each access, for output only, and
-`lookup` finds blocks by binary search on their codes, or on (a, b, c)
-records once v is too large for a code to fit in int64.  The STS and TD
-axioms are one check on the array: every required pair p < q, coded
-p*v + q, must occur in exactly one block.
+the sorted 3-tuple view, is computed on each access, for output only.  One
+sort key per row orders the array and finds repeated blocks as equal
+neighbours, and `lookup` binary-searches the same keys: the code
+(a*v + b)*v + c, or (a, b, c) records once v is too large for a code to fit
+in int64.  The STS and TD axioms are one check on the array: every required
+pair p < q, coded p*v + q, must occur in exactly one block.
 A Resolution stores its classes in order as one read-only int64 `index` of
 blocks plus class `bounds` (class i is index[bounds[i]:bounds[i + 1]], since
 untrusted classes may be ragged); verify_resolution decides in one numpy
@@ -76,6 +77,15 @@ def _sorted_block(b, v: int) -> Block:
     return t
 
 
+def _sort_keys(rows: np.ndarray, v: int) -> np.ndarray:
+    """Keys that order sorted rows (a, b, c) of points 0..v-1 as the rows:
+    the code (a*v + b)*v + c while v^3 fits in int64, and beyond that
+    (a, b, c) records, compared field by field."""
+    if v**3 <= 1 << 63:
+        return (rows[:, 0] * v + rows[:, 1]) * v + rows[:, 2]
+    return np.ascontiguousarray(rows, np.int64).view("i8,i8,i8").ravel()
+
+
 @dataclass(frozen=True, eq=False)
 class BlockDesign(gf3._ArrayValue):
     """A point set 0..v-1 plus a sorted, duplicate-free set of 3-blocks."""
@@ -88,17 +98,22 @@ class BlockDesign(gf3._ArrayValue):
             raise ValueError(f"negative point count v={self.v}")
         blocks = self.array if isinstance(self.array, np.ndarray) else tuple(self.array)
         try:
-            a = np.sort(np.array(blocks, dtype=np.int64), axis=-1)
+            a = np.sort(np.asarray(blocks, dtype=np.int64), axis=-1)
         except (TypeError, ValueError, OverflowError):
             a = None
         if a is None or a.shape != (len(blocks), 3) or not (
             (a[:, 0] >= 0) & (a[:, 0] < a[:, 1]) & (a[:, 1] < a[:, 2]) & (a[:, 2] < self.v)
         ).all():
-            # Block by block, in input order, so the first bad block is named.
+            # Block by block, in input order, so the first bad block is named,
+            # a row of a 2-D array as a tuple of ints.
+            if isinstance(blocks, np.ndarray) and blocks.ndim == 2:
+                blocks = tuple(map(tuple, blocks.tolist()))
             a = np.array([_sorted_block(b, self.v) for b in blocks], dtype=np.int64)
             a = a.reshape(-1, 3)
-        a = a[np.lexsort(a.T[::-1])]
-        repeated = (a[1:] == a[:-1]).all(axis=1)
+        keys = _sort_keys(a, self.v)
+        order = np.argsort(keys)
+        a, keys = a[order], keys[order]
+        repeated = keys[1:] == keys[:-1]
         if repeated.any():
             raise ValueError(f"duplicate block {tuple(a[repeated.argmax()].tolist())!r}")
         a.flags.writeable = False
@@ -111,14 +126,9 @@ class BlockDesign(gf3._ArrayValue):
     def lookup(self, rows: np.ndarray) -> np.ndarray:
         """Indices into `array` of the blocks given as sorted rows of an
         (n, 3) int array; KeyError naming the first row that is no block.
-        Rows are searched by the code (a*v + b)*v + c while v^3 fits in
-        int64, and beyond that as (a, b, c) records, compared field by field."""
-        v, a = self.v, self.array
-        if v**3 <= 1 << 63:
-            keys = [(r[:, 0] * v + r[:, 1]) * v + r[:, 2] for r in (a, rows)]
-        else:
-            keys = [np.ascontiguousarray(r, np.int64).view("i8,i8,i8").ravel() for r in (a, rows)]
-        pos = np.searchsorted(*keys)
+        Rows are searched by their sort keys (_sort_keys)."""
+        a = self.array
+        pos = np.searchsorted(_sort_keys(a, self.v), _sort_keys(rows, self.v))
         found = pos < len(a)
         found[found] = (a[pos[found]] == rows[found]).all(axis=1)
         if not found.all():

@@ -9,18 +9,31 @@ decomposition up to the standard reading-off.  Serialization is canonical
 (sorted blocks, fixed key order, compact separators) so parse/serialize
 round-trips byte for byte.
 
-A block body is encoded with one encoder call and split into lines; a
-resolution body with one call per class.  Each line is a record on its
-own: the reader parses a block body in one pass only if every line is a
-canonical block (_CANONICAL_BLOCK), else, and for a resolution body, line
-by line, so a block split over two lines is malformed and a bad block is
-named by the tuple it was read as.
+A record holds its body as it was given: the blocks as a tuple or as a
+(b, 3) int array, each class as a tuple or an (n, 3) int array; `blocks`
+and `classes` are tuple views, computed on access.
+
+Writer.  Array rows are formatted by one `%` per chunk of at most _CHUNK
+rows ("[%d,%d,%d]\\n" repeated), which gives the JSON encoder's bytes; a
+chunk bounds the transient Python ints.  A tuple body, which may hold
+anything, goes through the JSON encoder.
+
+Reader.  A block body is canonical when it is ASCII, its non-digit bytes
+repeat "[,,]\\n", and its digit runs, three per line, are 1-18 digits long
+with no leading zero.  Then every line is a JSON list of three integers
+below 10^18, which fit int64, and one np.fromstring reads the whole body
+as the (b, 3) array; np.fromstring would saturate a longer run silently,
+hence the bound.  A resolution body is canonical when each line, stripped
+of its outer brackets and with "],[" turned into a line break, is a
+canonical block body: its blocks are read as one array and cut into
+classes.  Any other body is read line by line, each line a record on its
+own, so a block split over two lines is malformed and a bad block is named
+by the tuple it was read as.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,23 +42,72 @@ from .designs import Block, BlockDesign, Resolution, StsInstance, TdInstance
 
 FORMAT_VERSION = "1"
 KINDS = ("sts", "td", "resolution", "decomposition")
-_CHUNK = 4096  # canonical body lines per decoder call
-_CANONICAL_BLOCK = r"\[(?:0|[1-9][0-9]{0,17})(?:,(?:0|[1-9][0-9]{0,17}))*\]"
+_CHUNK = 1 << 16  # rows per "%" when writing
+_LINE = np.frombuffer(b"[,,]\n", dtype=np.uint8)  # a canonical line's non-digit bytes
+_SPACES = str.maketrans("[,]", "   ")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class DesignFileRecord:
+    """A design file's header fields and body.  `body` holds the blocks and
+    `class_body` the classes as given (module docstring); equality, hash
+    and repr are on the tuple views, so a record read as arrays compares
+    and prints like one built from the same tuples."""
+
     kind: str
     v: int
-    k: int | None = None
-    T: int | None = None
-    blocks: tuple[Block, ...] = ()
-    classes: tuple[tuple[Block, ...], ...] = ()
-    groups: tuple[tuple[int, ...], ...] | None = None
+    k: int | None
+    T: int | None
+    body: tuple[Block, ...] | np.ndarray
+    class_body: tuple
+    groups: tuple[tuple[int, ...], ...] | None
+
+    def __init__(self, kind, v, k=None, T=None, blocks=(), classes=(), groups=None):
+        vars(self).update(kind=kind, v=v, k=k, T=T, body=blocks, class_body=classes, groups=groups)
+
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        return _tuples(self.body)
+
+    @property
+    def classes(self) -> tuple[tuple[Block, ...], ...]:
+        return tuple(map(_tuples, self.class_body))
+
+    def _view(self) -> tuple:
+        return self.kind, self.v, self.k, self.T, self.blocks, self.classes, self.groups
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._view() == other._view()
+
+    def __hash__(self) -> int:
+        return hash(self._view())
+
+    def __repr__(self) -> str:
+        names = ("kind", "v", "k", "T", "blocks", "classes", "groups")
+        return f"DesignFileRecord({', '.join(f'{n}={x!r}' for n, x in zip(names, self._view()))})"
+
+
+def _tuples(body):
+    """A body as tuples: an array's rows as tuples of ints, else as given."""
+    return tuple(zip(*body.T.tolist())) if isinstance(body, np.ndarray) else body
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _formatted(rows: np.ndarray, row: str) -> list[str]:
+    """The rows of an (n, 3) int array, each as `row` % (a, b, c)."""
+    chunks = (rows[i:i + _CHUNK] for i in range(0, len(rows), _CHUNK))
+    return [(row * len(c)) % tuple(c.ravel().tolist()) for c in chunks]
+
+
+def _class_line(cls) -> str:
+    if isinstance(cls, np.ndarray):
+        return "[" + "".join(_formatted(cls, "[%d,%d,%d],"))[:-1] + "]"
+    return _dump(cls)
 
 
 def serialize(rec: DesignFileRecord) -> str:
@@ -60,17 +122,77 @@ def serialize(rec: DesignFileRecord) -> str:
     if rec.groups is not None:
         lines.append(_dump({"groups": rec.groups}))
     if rec.kind == "resolution":
-        lines += map(_dump, rec.classes)
-    elif rec.blocks:
+        lines += map(_class_line, rec.class_body)
+    elif isinstance(rec.body, np.ndarray):
+        return "".join(["\n".join(lines) + "\n", *_formatted(rec.body, "[%d,%d,%d]\n")])
+    elif rec.body:
         # Blocks hold integers only, so "],[" occurs only between two blocks.
-        lines.append(_dump(rec.blocks)[1:-1].replace("],[", "]\n["))
+        lines.append(_dump(rec.body)[1:-1].replace("],[", "]\n["))
     return "\n".join(lines) + "\n"
 
 
+def _canonical_rows(body: str) -> np.ndarray | None:
+    """The (b, 3) int64 rows of a canonical block body (module docstring),
+    or None if the body is not canonical."""
+    if not body.isascii():
+        return None
+    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    marks = np.flatnonzero((b < ord("0")) | (b > ord("9")))  # the non-digit bytes
+    if not marks.size or marks.size % 5 or marks[-1] != b.size - 1:
+        return None
+    marks = marks.reshape(-1, 5)
+    runs = marks[:, 1:4] - marks[:, :3] - 1  # each line's three digit runs
+    if not (
+        (b[marks] == _LINE).all()
+        and marks[0, 0] == 0
+        and (marks[:, 4] == marks[:, 3] + 1).all()
+        and (marks[1:, 0] == marks[:-1, 4] + 1).all()
+        and ((runs >= 1) & (runs <= 18)).all()
+        and not ((runs > 1) & (b[marks[:, :3] + 1] == ord("0"))).any()
+    ):
+        return None
+    rows = np.fromstring(body.translate(_SPACES), dtype=np.int64, sep=" ").reshape(-1, 3)
+    rows.flags.writeable = False
+    return rows
+
+
+def _canonical_classes(lines: list[str]) -> tuple[np.ndarray, ...] | None:
+    """A canonical resolution body's classes as (n, 3) int64 views of one
+    array (module docstring), or None if the body is not canonical."""
+    if not all(ln.startswith("[") and ln.endswith("]") for ln in lines):
+        return None
+    rows = _canonical_rows("".join(ln[1:-1].replace("],[", "]\n[") + "\n" for ln in lines))
+    if rows is None:
+        return None
+    ends = np.cumsum([ln.count("],[") + 1 for ln in lines])
+    return tuple(np.split(rows, ends[:-1]))
+
+
+def _nonblank(text: str) -> list[str]:
+    return [ln for ln in text.splitlines() if ln.strip()]
+
+
 def deserialize(text: str) -> DesignFileRecord:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # The lines before the first that opens with "[" hold the header and
+    # groups; a canonical block body from there on is read as one array.
+    # A line opening with "[[" is a class, and no block body starts so.
+    cut = text.find("\n[") + 1
+    rows = _canonical_rows(text[cut:]) if cut and not text.startswith("[[", cut) else None
+    if rows is not None:
+        rec = _read(_nonblank(text[:cut]), rows)
+        if rec is not None:
+            return rec
+    return _read(_nonblank(text), None)
+
+
+def _read(lines: list[str], rows: np.ndarray | None) -> DesignFileRecord | None:
+    """The record of a file's nonblank lines, or, given the canonical block
+    rows that follow them, of lines plus rows; None if those rows are not
+    the file's whole block body, which must then be read line by line."""
     if not lines:
-        raise ValueError("empty design file")
+        if rows is None:
+            raise ValueError("empty design file")
+        return None
 
     def parse(i: int, convert=lambda r: r):
         # A record of the wrong shape, or nested deeper than the decoder can
@@ -98,15 +220,16 @@ def deserialize(text: str) -> DesignFileRecord:
             raise ValueError("unexpected object record in body")
         groups = parse(1, lambda r: tuple(tuple(map(_int, g)) for g in r["groups"]))
     body = range(1 if groups is None else 2, len(lines))
+    if rows is not None:
+        if kind == "resolution" or body:
+            return None
+        return DesignFileRecord(kind, v, k, t, rows, (), groups)
     if kind == "resolution":
-        classes = tuple(parse(i, lambda c: tuple(tuple(map(_int, b)) for b in c)) for i in body)
+        classes = _canonical_classes(lines[body.start:]) or tuple(
+            parse(i, lambda c: tuple(tuple(map(_int, b)) for b in c)) for i in body
+        )
         return DesignFileRecord(kind, v, k, t, (), classes, groups)
-    rows = lines[body.start:]
-    if all(map(re.compile(_CANONICAL_BLOCK).fullmatch, rows)):
-        blocks = tuple(b for i in range(0, len(rows), _CHUNK)
-                       for b in map(tuple, json.loads("[" + ",".join(rows[i:i + _CHUNK]) + "]")))
-    else:
-        blocks = tuple(parse(i, lambda b: tuple(map(_int, b))) for i in body)
+    blocks = tuple(parse(i, lambda b: tuple(map(_int, b))) for i in body)
     return DesignFileRecord(kind, v, k, t, blocks, (), groups)
 
 
@@ -129,29 +252,53 @@ def read_design(path: str) -> DesignFileRecord:
 
 def sts_record(s: StsInstance, k: int | None = None, t: int | None = None,
                kind: str = "sts") -> DesignFileRecord:
-    return DesignFileRecord(kind, s.v, k, t, s.blocks)
+    return DesignFileRecord(kind, s.v, k, t, s.array)
 
 
 def td_record(td: TdInstance) -> DesignFileRecord:
-    return DesignFileRecord("td", td.v, None, td.w, td.blocks, (), td.groups)
+    return DesignFileRecord("td", td.v, None, td.w, td.array, (), td.groups)
 
 
 def resolution_record(d: BlockDesign, r: Resolution) -> DesignFileRecord:
-    classes = tuple(tuple(map(tuple, d.array[c].tolist())) for c in r.class_arrays())
+    classes = tuple(np.split(d.array[r.index], r.bounds[1:-1]))
     return DesignFileRecord("resolution", d.v, None, None, (), classes)
+
+
+def _class_rows(rec: DesignFileRecord) -> np.ndarray | None:
+    """Every class block of a record, in file order, as one (n, 3) array,
+    if its classes are arrays; else None."""
+    if all(isinstance(c, np.ndarray) for c in rec.class_body):
+        return np.concatenate([np.zeros((0, 3), dtype=np.int64), *rec.class_body])
+    return None
+
+
+def resolution_blocks(rec: DesignFileRecord):
+    """The blocks of a resolution file's classes, in sorted order: the
+    design they cover, whose first bad block BlockDesign names."""
+    rows = _class_rows(rec)
+    if rows is None:
+        return tuple(sorted(b for cls in rec.classes for b in cls))
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def resolution_from_record(rec: DesignFileRecord, d: BlockDesign) -> Resolution:
     """Rebind a resolution file's inline blocks to indices into d; the
     first one, in file order, that is not a block of d is named."""
-    flat = [sorted(b) for cls in rec.classes for b in cls]
-    n = next((i for i, b in enumerate(flat) if len(b) != 3 or b[0] < 0 or b[2] >= d.v),
-             len(flat))
+    flat = _class_rows(rec)
+    if flat is None:
+        flat = [sorted(b) for cls in rec.classes for b in cls]
+        n = next((i for i, b in enumerate(flat) if len(b) != 3 or b[0] < 0 or b[2] >= d.v),
+                 len(flat))
+        rows = np.array(flat[:n], dtype=np.int64).reshape(-1, 3)
+    else:
+        rows = flat = np.sort(flat, axis=1)
+        bad = (rows[:, 0] < 0) | (rows[:, 2] >= d.v)
+        n = int(bad.argmax()) if bad.any() else len(rows)
     try:
-        pos = d.lookup(np.array(flat[:n], dtype=np.int64).reshape(-1, 3))
+        pos = d.lookup(rows[:n])
         if n < len(flat):
-            raise KeyError(tuple(flat[n]))
+            raise KeyError(tuple(int(p) for p in flat[n]))
     except KeyError as exc:
         raise ValueError(f"resolution references unknown block {exc.args[0]}") from exc
-    ends = np.cumsum([len(cls) for cls in rec.classes], dtype=np.intp)
+    ends = np.cumsum([len(cls) for cls in rec.class_body], dtype=np.intp)
     return Resolution([np.sort(c) for c in np.split(pos, ends)[:-1]])

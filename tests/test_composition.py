@@ -307,3 +307,17 @@ def test_random_decomposition_deterministic():
     a = random_decomposition(1, 7, random.Random(5))
     b = random_decomposition(1, 7, random.Random(5))
     assert a == b
+
+
+def test_plain_decomposition_skips_its_vacuous_orthogonality_check(monkeypatch):
+    # G(T, 0) is the all-one row, orthogonal to every 3-point block, so a
+    # t = 0 decomposition makes no check; t >= 1 still checks each sub-system.
+    subs = (compose(linear_decomposition(1, 3)),) * 3
+    squares = [latin_with_mate(3)[0].cells] * len(split_ag(2, 1)[1])
+    calls = []
+    real = gf3.is_orthogonal
+    monkeypatch.setattr(gf3, "is_orthogonal", lambda *a: calls.append(1) or real(*a))
+    linear_decomposition(2, 7)
+    assert calls == []
+    Decomposition(k=2, T=3, sub_systems=subs, tds=squares, t=1)
+    assert len(calls) == 3

@@ -334,3 +334,21 @@ def test_permute_sts_and_transport_resolution():
     assert verify_sts(moved.design).ok
     res = transport_resolution(ag.sts.design, ag.standard_resolution, image)
     assert verify_resolution(moved.design, res).ok
+
+
+def test_block_design_names_a_bad_array_row_as_a_tuple():
+    with pytest.raises(ValueError) as info:
+        BlockDesign(9, np.array([[0, 1, 2], [3, 4, 9]]))
+    assert str(info.value) == "block (3, 4, 9) out of range for v=9"
+
+
+@pytest.mark.parametrize("v", [9, 2**21, 2**21 + 1, 3_000_000])
+def test_block_design_sorts_by_one_key_at_every_v(v):
+    # Below v = 2^21 the key is the packed code, beyond it an (a, b, c)
+    # record; both must order rows as a lexicographic sort does.
+    rows = np.array([(0, 1, v - 1), (0, 1, 2), (1, 2, 3), (0, 2, 3), (0, 1, 3)])
+    d = BlockDesign(v, rows[::-1])
+    assert d.array.tolist() == sorted(rows.tolist())
+    with pytest.raises(ValueError) as info:
+        BlockDesign(v, np.vstack([rows, rows[[4, 2]]]))
+    assert str(info.value) == "duplicate block (0, 1, 3)"

@@ -4,6 +4,7 @@ import json
 import random
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from trisys.composition import compose, random_decomposition
 from trisys.constructions import affine_geometry, latin_with_mate
 from trisys.designs import BlockDesign, td_from_latin, verify_resolution
+from trisys import io
 from trisys.io import (
     KINDS,
     DesignFileRecord,
@@ -209,3 +211,143 @@ def test_deserialize_of_a_long_body_matches_the_per_line_reader():
     assert len(s.blocks) > 4 * 4096
     assert outcome(deserialize, text) == outcome(per_line_deserialize, text)
     assert deserialize(text).blocks == s.blocks
+
+
+def dump(x):
+    return json.dumps(x, separators=(",", ":"))
+
+
+def canonical_oracle(body):
+    """The rows of a body read line by line, if every line re-encodes as
+    itself: a JSON list of three integers in [0, 10^18), each line ending
+    in "\\n"; else None (the oracle for the reader's byte check)."""
+    if not body.endswith("\n"):
+        return None
+    rows = []
+    for line in body[:-1].split("\n"):
+        try:
+            x = json.loads(line)
+        except ValueError:
+            return None
+        if not (type(x) is list and len(x) == 3 and dump(x) == line
+                and all(type(p) is int and 0 <= p < 10**18 for p in x)):
+            return None
+        rows.append(x)
+    return rows
+
+
+# Each perturbation rewrites one canonical line (a list of three ints).
+PERTURBATIONS = {
+    "none": lambda r: dump(r),
+    "18 digits": lambda r: dump([10**18 - 1, *r[1:]]),
+    "19 digits": lambda r: dump([10**18, *r[1:]]),
+    "minus zero": lambda r: dump(["#", *r[1:]]).replace('"#"', "-0"),
+    "leading zero": lambda r: "[0" + dump(r)[1:],
+    "arabic-indic digit": lambda r: "[٣" + dump(r)[2:],
+    "carriage return": lambda r: dump(r) + "\r",
+    "blank line": lambda r: "\n" + dump(r),
+    "two values": lambda r: dump(r[:2]),
+    "four values": lambda r: dump([*r, 0]),
+    "split over two lines": lambda r: dump(r).replace(",", ",\n", 1),
+    "digit before the block": lambda r: "7" + dump(r),
+    "digit after the block": lambda r: dump(r) + "7",
+}
+
+
+@given(
+    rows=st.lists(st.lists(st.integers(0, 10**18 - 1), min_size=3, max_size=3),
+                  min_size=1, max_size=5),
+    perturbation=st.sampled_from(sorted(PERTURBATIONS)),
+    where=st.integers(0, 4),
+    end=st.sampled_from(("\n", "", "\n7")),
+)
+@example(rows=[[0, 1, 2], [3, 4, 5]], perturbation="digit before the block", where=1, end="\n")
+@example(rows=[[0, 1, 2]], perturbation="none", where=0, end="\n7")
+@settings(max_examples=400, deadline=None)
+def test_byte_check_matches_the_per_line_oracle(rows, perturbation, where, end):
+    lines = [dump(r) for r in rows]
+    i = where % len(rows)
+    lines[i] = PERTURBATIONS[perturbation](rows[i])
+    body = "\n".join(lines) + end
+    expected = canonical_oracle(body)
+    got = io._canonical_rows(body)
+    assert (None if got is None else got.tolist()) == expected
+    text = '{"format_version":"1","kind":"sts","v":9}\n' + body
+    assert outcome(deserialize, text) == outcome(per_line_deserialize, text)
+
+
+
+# Each perturbation rewrites one canonical class line (a list of blocks).
+CLASS_PERTURBATIONS = {
+    "none": lambda c: dump(c),
+    "bare block": lambda c: dump(c[0]),
+    "spaces around": lambda c: " " + dump(c)[1:-1] + " ",
+    "braces around": lambda c: "{" + dump(c)[1:-1] + "}",
+    "empty class": lambda c: "[]",
+    "two values": lambda c: dump([c[0][:2], *c[1:]]),
+    "leading zero": lambda c: "[[0" + dump(c)[2:],
+    "split over two lines": lambda c: dump(c).replace(",", ",\n", 1),
+}
+
+
+@given(
+    classes=st.lists(
+        st.lists(st.lists(st.integers(0, 10**18 - 1), min_size=3, max_size=3),
+                 min_size=1, max_size=3),
+        min_size=1, max_size=3),
+    perturbation=st.sampled_from(sorted(CLASS_PERTURBATIONS)),
+    where=st.integers(0, 2),
+)
+@settings(max_examples=300, deadline=None)
+def test_resolution_byte_check_matches_the_per_line_reader(classes, perturbation, where):
+    lines = [dump(c) for c in classes]
+    i = where % len(classes)
+    lines[i] = CLASS_PERTURBATIONS[perturbation](classes[i])
+    text = '{"format_version":"1","kind":"resolution","v":9}\n' + "\n".join(lines) + "\n"
+    assert outcome(deserialize, text) == outcome(per_line_deserialize, text)
+    if perturbation == "none":
+        assert all(isinstance(c, np.ndarray) for c in deserialize(text).class_body)
+
+def test_a_record_read_as_arrays_is_the_record_of_its_tuples():
+    ag = affine_geometry(2)
+    back = deserialize(serialize(sts_record(ag.sts, k=2)))
+    assert isinstance(back.body, np.ndarray)
+    tuples = DesignFileRecord("sts", 9, 2, None, ag.sts.blocks)
+    assert back == tuples and hash(back) == hash(tuples) and repr(back) == repr(tuples)
+    rec = resolution_record(ag.sts.design, ag.standard_resolution)
+    back = deserialize(serialize(rec))
+    assert all(isinstance(c, np.ndarray) for c in back.class_body)
+    tuples = DesignFileRecord("resolution", 9, classes=rec.classes)
+    assert back == tuples and hash(back) == hash(tuples) and repr(back) == repr(tuples)
+
+
+def test_ag4_resolution_round_trip():
+    ag = affine_geometry(4)
+    rec = resolution_record(ag.sts.design, ag.standard_resolution)
+    text = serialize(rec)
+    assert text == encode_line_by_line(rec)
+    back = deserialize(text)
+    assert all(isinstance(c, np.ndarray) for c in back.class_body)
+    assert back == rec and serialize(back) == text
+    assert outcome(deserialize, text) == outcome(per_line_deserialize, text)
+    assert resolution_from_record(back, ag.sts.design) == ag.standard_resolution
+
+
+# Canonical resolution bodies naming a block of AG(2) minus (6, 7, 8) that
+# it lacks: the array path names the first in file order, as the tuple path does.
+UNKNOWN_BODIES = {
+    "[[0,1,2],[3,4,5],[6,7,8]]\n": "(6, 7, 8)",
+    "[[2,1,0]]\n[[0,4,8],[5,1,6],[9,10,11]]\n": "(9, 10, 11)",
+    "[[0,1,100],[0,1,2]]\n": "(0, 1, 100)",
+    "[[0,1,3],[1,0,2]]\n": "(0, 1, 3)",
+}
+
+
+@pytest.mark.parametrize("body", sorted(UNKNOWN_BODIES))
+def test_array_resolution_names_the_first_unknown_block(body):
+    rec = deserialize('{"format_version":"1","kind":"resolution","v":9}\n' + body)
+    assert all(isinstance(c, np.ndarray) for c in rec.class_body)
+    other = BlockDesign(9, affine_geometry(2).sts.blocks[:-1])
+    with pytest.raises(ValueError) as info:
+        resolution_from_record(rec, other)
+    assert str(info.value) == f"resolution references unknown block {UNKNOWN_BODIES[body]}"
