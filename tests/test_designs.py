@@ -344,7 +344,7 @@ def test_block_design_names_a_bad_array_row_as_a_tuple():
 
 @pytest.mark.parametrize("v", [9, 2**21, 2**21 + 1, 3_000_000])
 def test_block_design_sorts_by_one_key_at_every_v(v):
-    # Below v = 2^21 the key is the packed code, beyond it an (a, b, c)
+    # Up to v = 2^21 the key is the packed code, beyond it an (a, b, c)
     # record; both must order rows as a lexicographic sort does.
     rows = np.array([(0, 1, v - 1), (0, 1, 2), (1, 2, 3), (0, 2, 3), (0, 1, 3)])
     d = BlockDesign(v, rows[::-1])
