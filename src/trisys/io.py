@@ -18,7 +18,8 @@ rows ("[%d,%d,%d]\\n" repeated), which gives the JSON encoder's bytes; a
 chunk bounds the transient Python ints.  A tuple body, which may hold
 anything, goes through the JSON encoder.
 
-Reader.  A block body is canonical when it is ASCII, its non-digit bytes
+Reader.  The lines before the body, the header and groups, are read line
+by line.  A block body is canonical when it is ASCII, its non-digit bytes
 repeat "[,,]\\n", and its digit runs, three per line, are 1-18 digits long
 with no leading zero.  Then every line is a JSON list of three integers
 below 10^18, which fit int64, and one np.fromstring reads the whole body
@@ -26,9 +27,9 @@ as the (b, 3) array; np.fromstring would saturate a longer run silently,
 hence the bound.  A resolution body is canonical when each line, stripped
 of its outer brackets and with "],[" turned into a line break, is a
 canonical block body: its blocks are read as one array and cut into
-classes.  Any other body is read line by line, each line a record on its
-own, so a block split over two lines is malformed and a bad block is named
-by the tuple it was read as.
+classes.  Any other body is read line by line too, each line a record on
+its own, so a block split over two lines is malformed.  In every file kind
+a bad block is named in file order, by the tuple it was read as.
 """
 
 from __future__ import annotations
@@ -176,23 +177,22 @@ def deserialize(text: str) -> DesignFileRecord:
     # The lines before the first that opens with "[" hold the header and
     # groups; a canonical block body from there on is read as one array.
     # A line opening with "[[" is a class, and no block body starts so.
+    # Those lines are a prefix of the file, so a fault in them is the
+    # fault the whole file is read as.
     cut = text.find("\n[") + 1
     rows = _canonical_rows(text[cut:]) if cut and not text.startswith("[[", cut) else None
-    if rows is not None:
-        rec = _read(_nonblank(text[:cut]), rows)
-        if rec is not None:
-            return rec
-    return _read(_nonblank(text), None)
+    head = _nonblank(text[:cut])
+    if rows is not None and head:
+        rec = _read(head)
+        if rec.kind != "resolution" and not rec.body:
+            return DesignFileRecord(rec.kind, rec.v, rec.k, rec.T, rows, (), rec.groups)
+    return _read(_nonblank(text))
 
 
-def _read(lines: list[str], rows: np.ndarray | None) -> DesignFileRecord | None:
-    """The record of a file's nonblank lines, or, given the canonical block
-    rows that follow them, of lines plus rows; None if those rows are not
-    the file's whole block body, which must then be read line by line."""
+def _read(lines: list[str]) -> DesignFileRecord:
+    """The record of a design file's nonblank lines."""
     if not lines:
-        if rows is None:
-            raise ValueError("empty design file")
-        return None
+        raise ValueError("empty design file")
 
     def parse(i: int, convert=lambda r: r):
         # A record of the wrong shape, or nested deeper than the decoder can
@@ -220,10 +220,6 @@ def _read(lines: list[str], rows: np.ndarray | None) -> DesignFileRecord | None:
             raise ValueError("unexpected object record in body")
         groups = parse(1, lambda r: tuple(tuple(map(_int, g)) for g in r["groups"]))
     body = range(1 if groups is None else 2, len(lines))
-    if rows is not None:
-        if kind == "resolution" or body:
-            return None
-        return DesignFileRecord(kind, v, k, t, rows, (), groups)
     if kind == "resolution":
         classes = _canonical_classes(lines[body.start:]) or tuple(
             parse(i, lambda c: tuple(tuple(map(_int, b)) for b in c)) for i in body
@@ -264,40 +260,28 @@ def resolution_record(d: BlockDesign, r: Resolution) -> DesignFileRecord:
     return DesignFileRecord("resolution", d.v, None, None, (), classes)
 
 
-def _class_rows(rec: DesignFileRecord) -> np.ndarray | None:
-    """Every class block of a record, in file order, as one (n, 3) array,
-    if its classes are arrays; else None."""
+def resolution_blocks(rec: DesignFileRecord):
+    """The blocks of a resolution file's classes in file order: one (n, 3)
+    array if every class is an array, else a tuple."""
     if all(isinstance(c, np.ndarray) for c in rec.class_body):
         return np.concatenate([np.zeros((0, 3), dtype=np.int64), *rec.class_body])
-    return None
-
-
-def resolution_blocks(rec: DesignFileRecord):
-    """The blocks of a resolution file's classes, in sorted order: the
-    design they cover, whose first bad block BlockDesign names."""
-    rows = _class_rows(rec)
-    if rows is None:
-        return tuple(sorted(b for cls in rec.classes for b in cls))
-    return rows[np.lexsort(rows.T[::-1])]
+    return tuple(b for cls in rec.classes for b in cls)
 
 
 def resolution_from_record(rec: DesignFileRecord, d: BlockDesign) -> Resolution:
     """Rebind a resolution file's inline blocks to indices into d; the
     first one, in file order, that is not a block of d is named."""
-    flat = _class_rows(rec)
-    if flat is None:
-        flat = [sorted(b) for cls in rec.classes for b in cls]
+    flat = resolution_blocks(rec)
+    if isinstance(flat, np.ndarray):
+        flat, n = np.sort(flat, axis=1), len(flat)
+    else:
+        flat = [sorted(b) for b in flat]
         n = next((i for i, b in enumerate(flat) if len(b) != 3 or b[0] < 0 or b[2] >= d.v),
                  len(flat))
-        rows = np.array(flat[:n], dtype=np.int64).reshape(-1, 3)
-    else:
-        rows = flat = np.sort(flat, axis=1)
-        bad = (rows[:, 0] < 0) | (rows[:, 2] >= d.v)
-        n = int(bad.argmax()) if bad.any() else len(rows)
     try:
-        pos = d.lookup(rows[:n])
+        pos = d.lookup(np.asarray(flat[:n], dtype=np.int64).reshape(-1, 3))
         if n < len(flat):
-            raise KeyError(tuple(int(p) for p in flat[n]))
+            raise KeyError(tuple(flat[n]))
     except KeyError as exc:
         raise ValueError(f"resolution references unknown block {exc.args[0]}") from exc
     ends = np.cumsum([len(cls) for cls in rec.class_body], dtype=np.intp)

@@ -392,6 +392,12 @@ VERIFY_CASES = {
         '{"ok":false,"checks":[{"check":"well-formed","ok":false,'
         '"detail":"block (3, 4, 9) out of range for v=9"}]}', 1,
     ),
+    # Two bad blocks: the first in file order is named, as for an sts file.
+    "resolution-out-of-range-file-order": (
+        HEADER.format(kind="resolution", v=9) + "[[0,1,2],[3,4,99]]\n[[0,1,50],[3,4,5]]\n", (),
+        '{"ok":false,"checks":[{"check":"well-formed","ok":false,'
+        '"detail":"block (3, 4, 99) out of range for v=9"}]}', 1,
+    ),
     "resolution-file-and-foreign-resolution": (
         HEADER.format(kind="resolution", v=9)
         + "[[0,1,2],[3,4,5],[6,7,8]]\n[[0,3,6],[1,4,7],[2,5,8]]\n",

@@ -198,6 +198,12 @@ bodies = st.lists(canonical_lines, max_size=6) | st.lists(
          end=True)
 @example(kind="sts", groups="", body=["[0,1,2]", "[00,3,4]"], newline="\n", blank="", end=True)
 @example(kind="td", groups="", body=["[0,1,2]", "[-1,3,4]"], newline="\r\n", blank=" ", end=False)
+@example(kind="sts", groups="", body=["0", "[0,1,2]", "[3,4,5]"], newline="\n", blank="",
+         end=True)
+@example(kind="resolution", groups="", body=["[0,1,2]", "[3,4,5]"], newline="\n", blank="",
+         end=True)
+@example(kind="td", groups='{"groups":[[0],[1],[2]]}', body=["[0,1,2]"], newline="\n",
+         blank="", end=True)
 @settings(max_examples=400, deadline=None)
 def test_deserialize_matches_the_per_line_reader(kind, groups, body, newline, blank, end):
     lines = ['{"format_version":"1","kind":"%s","v":9,"T":3}' % kind, groups, *body]
@@ -340,6 +346,9 @@ UNKNOWN_BODIES = {
     "[[2,1,0]]\n[[0,4,8],[5,1,6],[9,10,11]]\n": "(9, 10, 11)",
     "[[0,1,100],[0,1,2]]\n": "(0, 1, 100)",
     "[[0,1,3],[1,0,2]]\n": "(0, 1, 3)",
+    "[[0,1,2],[3,4,999999999999999999]]\n": "(3, 4, 999999999999999999)",
+    # The packed code (a*v + b)*v + c of this block overflows int64.
+    "[[999999999999999999,999999999999999998,5]]\n": "(5, 999999999999999998, 999999999999999999)",
 }
 
 
