@@ -177,8 +177,8 @@ def deserialize(text: str) -> DesignFileRecord:
     # The lines before the first that opens with "[" hold the header and
     # groups; a canonical block body from there on is read as one array.
     # A line opening with "[[" is a class, and no block body starts so.
-    # Those lines are a prefix of the file, so a fault in them is the
-    # fault the whole file is read as.
+    # Those lines, if any, are a prefix of the file, so a fault in them
+    # is the fault the whole file is read as.
     cut = text.find("\n[") + 1
     rows = _canonical_rows(text[cut:]) if cut and not text.startswith("[[", cut) else None
     head = _nonblank(text[:cut])

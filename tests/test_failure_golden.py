@@ -581,6 +581,9 @@ EXIT_2_CASES = {
     "verify-header-not-object": (
         ("verify", "IN"), "[0,1,2]\n", "first record must be a header object",
     ),
+    "verify-blank-line-before-body": (
+        ("verify", "IN"), "\n[0,1,2]\n", "first record must be a header object",
+    ),
     "verify-object-in-body": (
         ("verify", "IN"), HEADER.format(kind="sts", v=3) + '{"blocks":[[0,1,2]]}\n',
         "unexpected object record in body",

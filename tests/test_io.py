@@ -198,8 +198,8 @@ bodies = st.lists(canonical_lines, max_size=6) | st.lists(
          end=True)
 @example(kind="sts", groups="", body=["[0,1,2]", "[00,3,4]"], newline="\n", blank="", end=True)
 @example(kind="td", groups="", body=["[0,1,2]", "[-1,3,4]"], newline="\r\n", blank=" ", end=False)
-@example(kind="sts", groups="", body=["0", "[0,1,2]", "[3,4,5]"], newline="\n", blank="",
-         end=True)
+@example(kind="sts", groups="", body=[" [6,7,8]", "[0,1,2]", "[3,4,5]"], newline="\n",
+         blank="", end=True)
 @example(kind="resolution", groups="", body=["[0,1,2]", "[3,4,5]"], newline="\n", blank="",
          end=True)
 @example(kind="td", groups='{"groups":[[0],[1],[2]]}', body=["[0,1,2]"], newline="\n",
