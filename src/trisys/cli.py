@@ -30,7 +30,6 @@ from .designs import (
 from .io import (
     DesignFileRecord,
     read_design,
-    resolution_blocks,
     resolution_from_record,
     resolution_record,
     sts_record,
@@ -146,17 +145,15 @@ def _print_report(checks: list[dict]) -> int:
 def _cmd_verify(args) -> int:
     rec = read_design(args.file)
     try:
+        design = BlockDesign(rec.v, rec.body)
         if rec.kind == "resolution":
-            design = BlockDesign(rec.v, resolution_blocks(rec))
             checks = [_entry("resolution", _resolution_check(design, rec))]
+        elif rec.kind != "td":
+            checks = [_entry("sts-axioms", verify_sts(design))]
+        elif rec.groups is None:
+            checks = [_entry("td-axioms", VerificationReport(False, ("missing groups record",)))]
         else:
-            design = BlockDesign(rec.v, rec.body)
-            if rec.kind != "td":
-                checks = [_entry("sts-axioms", verify_sts(design))]
-            elif rec.groups is None:
-                checks = [_entry("td-axioms", VerificationReport(False, ("missing groups record",)))]
-            else:
-                checks = [_entry("td-axioms", verify_td(design, rec.groups))]
+            checks = [_entry("td-axioms", verify_td(design, rec.groups))]
     except ValueError as exc:
         # Malformed designs (duplicate or out-of-range blocks) are failed
         # checks with a named violation, not parameter errors.

@@ -9,9 +9,11 @@ decomposition up to the standard reading-off.  Serialization is canonical
 (sorted blocks, fixed key order, compact separators) so parse/serialize
 round-trips byte for byte.
 
-A record holds its body as it was given: the blocks as a tuple or as a
-(b, 3) int array, each class as a tuple or an (n, 3) int array; `blocks`
-and `classes` are tuple views, computed on access.
+A record's `body` holds its blocks in file order, a tuple or a (b, 3) int
+array, for every kind: a resolution record's `blocks` lists its classes'
+blocks.  Its `class_body` holds the classes as tuples or as (n, 3) cuts of
+that array; a record given only classes flattens them into `body`.
+`blocks` and `classes` are tuple views, computed on access.
 
 Writer.  Array rows are formatted by one `%` per chunk of at most _CHUNK
 rows ("[%d,%d,%d]\\n" repeated), which gives the JSON encoder's bytes; a
@@ -50,10 +52,10 @@ _SPACES = str.maketrans("[,]", "   ")
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class DesignFileRecord:
-    """A design file's header fields and body.  `body` holds the blocks and
-    `class_body` the classes as given (module docstring); equality, hash
-    and repr are on the tuple views, so a record read as arrays compares
-    and prints like one built from the same tuples."""
+    """A design file's header fields and body.  `body` holds the blocks in
+    file order, for a resolution too, and `class_body` its classes (module
+    docstring); equality, hash and repr are on the tuple views, so a record
+    read as arrays compares and prints like one built from the same tuples."""
 
     kind: str
     v: int
@@ -64,6 +66,8 @@ class DesignFileRecord:
     groups: tuple[tuple[int, ...], ...] | None
 
     def __init__(self, kind, v, k=None, T=None, blocks=(), classes=(), groups=None):
+        if kind == "resolution" and not len(blocks):
+            blocks = tuple(b for cls in classes for b in _tuples(cls))
         vars(self).update(kind=kind, v=v, k=k, T=T, body=blocks, class_body=classes, groups=groups)
 
     @property
@@ -157,16 +161,16 @@ def _canonical_rows(body: str) -> np.ndarray | None:
     return rows
 
 
-def _canonical_classes(lines: list[str]) -> tuple[np.ndarray, ...] | None:
-    """A canonical resolution body's classes as (n, 3) int64 views of one
-    array (module docstring), or None if the body is not canonical."""
+def _canonical_classes(lines: list[str]) -> tuple[np.ndarray, tuple[np.ndarray, ...]] | None:
+    """A canonical resolution body's (b, 3) int64 blocks and its classes as
+    views of them (module docstring), or None if the body is not canonical."""
     if not all(ln.startswith("[") and ln.endswith("]") for ln in lines):
         return None
     rows = _canonical_rows("".join(ln[1:-1].replace("],[", "]\n[") + "\n" for ln in lines))
     if rows is None:
         return None
     ends = np.cumsum([ln.count("],[") + 1 for ln in lines])
-    return tuple(np.split(rows, ends[:-1]))
+    return rows, tuple(np.split(rows, ends[:-1]))
 
 
 def _nonblank(text: str) -> list[str]:
@@ -221,10 +225,10 @@ def _read(lines: list[str]) -> DesignFileRecord:
         groups = parse(1, lambda r: tuple(tuple(map(_int, g)) for g in r["groups"]))
     body = range(1 if groups is None else 2, len(lines))
     if kind == "resolution":
-        classes = _canonical_classes(lines[body.start:]) or tuple(
+        blocks, classes = _canonical_classes(lines[body.start:]) or ((), tuple(
             parse(i, lambda c: tuple(tuple(map(_int, b)) for b in c)) for i in body
-        )
-        return DesignFileRecord(kind, v, k, t, (), classes, groups)
+        ))
+        return DesignFileRecord(kind, v, k, t, blocks, classes, groups)
     blocks = tuple(parse(i, lambda b: tuple(map(_int, b))) for i in body)
     return DesignFileRecord(kind, v, k, t, blocks, (), groups)
 
@@ -256,26 +260,18 @@ def td_record(td: TdInstance) -> DesignFileRecord:
 
 
 def resolution_record(d: BlockDesign, r: Resolution) -> DesignFileRecord:
-    classes = tuple(np.split(d.array[r.index], r.bounds[1:-1]))
-    return DesignFileRecord("resolution", d.v, None, None, (), classes)
-
-
-def resolution_blocks(rec: DesignFileRecord):
-    """The blocks of a resolution file's classes in file order: one (n, 3)
-    array if every class is an array, else a tuple."""
-    if all(isinstance(c, np.ndarray) for c in rec.class_body):
-        return np.concatenate([np.zeros((0, 3), dtype=np.int64), *rec.class_body])
-    return tuple(b for cls in rec.classes for b in cls)
+    blocks = d.array[r.index]
+    classes = tuple(np.split(blocks, r.bounds[1:])[:-1])  # the last cut is empty
+    return DesignFileRecord("resolution", d.v, None, None, blocks, classes)
 
 
 def resolution_from_record(rec: DesignFileRecord, d: BlockDesign) -> Resolution:
     """Rebind a resolution file's inline blocks to indices into d; the
     first one, in file order, that is not a block of d is named."""
-    flat = resolution_blocks(rec)
-    if isinstance(flat, np.ndarray):
-        flat, n = np.sort(flat, axis=1), len(flat)
+    if isinstance(rec.body, np.ndarray):
+        flat, n = np.sort(rec.body, axis=1), len(rec.body)
     else:
-        flat = [sorted(b) for b in flat]
+        flat = [sorted(b) for b in rec.body]
         n = next((i for i, b in enumerate(flat) if len(b) != 3 or b[0] < 0 or b[2] >= d.v),
                  len(flat))
     try:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from trisys.composition import compose, random_decomposition
 from trisys.constructions import affine_geometry, latin_with_mate
-from trisys.designs import BlockDesign, td_from_latin, verify_resolution
+from trisys.designs import BlockDesign, Resolution, td_from_latin, verify_resolution
 from trisys import io
 from trisys.io import (
     KINDS,
@@ -60,6 +60,15 @@ def test_resolution_rebinding_rejects_unknown_block():
     other = BlockDesign(9, ag.sts.blocks[:-1])
     with pytest.raises(ValueError):
         resolution_from_record(rec, other)
+
+
+def test_an_empty_resolution_is_its_header_line_alone():
+    rec = resolution_record(BlockDesign(0, ()), Resolution(()))
+    text = serialize(rec)
+    assert text == '{"format_version":"1","kind":"resolution","v":0}\n'
+    back = deserialize(text)
+    assert back.class_body == () and back == rec
+    assert resolution_from_record(back, BlockDesign(0, ())).n_classes == 0
 
 
 def test_unknown_format_version_rejected():
@@ -313,6 +322,9 @@ def test_resolution_byte_check_matches_the_per_line_reader(classes, perturbation
     assert outcome(deserialize, text) == outcome(per_line_deserialize, text)
     if perturbation == "none":
         assert all(isinstance(c, np.ndarray) for c in deserialize(text).class_body)
+        rec = deserialize(text)
+        assert rec.body.shape == (sum(map(len, classes)), 3) and rec.body.dtype == np.int64
+        assert all(np.shares_memory(rec.body, c) for c in rec.class_body)
 
 def test_a_record_read_as_arrays_is_the_record_of_its_tuples():
     ag = affine_geometry(2)
@@ -325,6 +337,11 @@ def test_a_record_read_as_arrays_is_the_record_of_its_tuples():
     assert all(isinstance(c, np.ndarray) for c in back.class_body)
     tuples = DesignFileRecord("resolution", 9, classes=rec.classes)
     assert back == tuples and hash(back) == hash(tuples) and repr(back) == repr(tuples)
+    flat = tuple(b for cls in rec.classes for b in cls)
+    assert back.blocks == tuples.blocks == flat and len(flat) == 12
+    mixed = DesignFileRecord("resolution", 9, classes=(back.class_body[0], *rec.classes[1:]))
+    assert mixed == tuples and hash(mixed) == hash(tuples)
+    assert back != back.blocks and back.__eq__(back.blocks) is NotImplemented
 
 
 def test_ag4_resolution_round_trip():

@@ -48,3 +48,15 @@ def test_internal_import_graph_is_acyclic():
 def test_constructions_imports_nothing_from_composition():
     path = next(p for p in SOURCES if p.name == "constructions.py")
     assert "composition" not in internal_imports(path)
+
+
+def test_only_the_cli_prints():
+    """Library code reports through return values and exceptions; only the
+    command line writes to stdout."""
+    calls = {
+        path.name: [node.lineno for node in ast.walk(parse(path))
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"]
+        for path in SOURCES
+        if path.name != "cli.py"
+    }
+    assert not any(calls.values()), calls
