@@ -15,8 +15,8 @@ untrusted classes may be ragged); verify_resolution decides in one numpy
 pass and walks only a failing resolution, to name its violations in order.
 StsInstance, TdInstance and LatinSquare validate their axioms on
 construction, except the parts valid by construction (_unchecked, called
-from td_from_latin, permute_sts and decompose only); the verify_*
-functions report on untrusted input.
+from td_from_latin, permute_sts, decompose and force_exact_rank only); the
+verify_* functions report on untrusted input.
 
 Ranks and dual spaces are exact without the b x v incidence matrix M: the
 null space of a stride sample of min(b, 2v) blocks contains null(M), and
@@ -253,7 +253,7 @@ class TdInstance(_DesignView):
 def _unchecked(cls, **fields):
     """An StsInstance or TdInstance without its axiom check (its BlockDesign
     still normalises), for a part valid by construction: td_from_latin,
-    permute_sts and decompose say why in their docstrings."""
+    permute_sts, decompose and force_exact_rank say why in their docstrings."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)

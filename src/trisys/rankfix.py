@@ -22,6 +22,7 @@ from . import gf3
 from .designs import (
     BlockDesign,
     StsInstance,
+    _unchecked,
     dual_space,
     permute_design,
     permute_sts,
@@ -197,20 +198,22 @@ def force_exact_rank(s: StsInstance, k: int) -> StsInstance:
     """Rebuild s, laid out over G(v,k), with its first sub-system permuted
     so the dual space is exactly the row space of generator_gvk(v, k).
 
-    With T = v/3^k, the first sub-system is s's blocks inside points 0..T-1
-    and B- is the rest.  Every row of G(v,k) is constant on that group, so
-    s is orthogonal to G(v,k) exactly when the layout rows extend to a basis
-    of dual(B-), which the step reading dual(B-)'s excess dimensions k'-k
-    and the within-group layout checks anyway.  Then: canonicalize the first
-    sub-system's own dual (sigma, l); pick the intersection permutation at
-    level t = max(l, k'-k); reinsert the sub-system through it, undoing the
-    within-group sorting so that B- stays untouched.  The dual space of the
-    result is never trusted: it is derived exactly from dual(B-), its one
-    v-point dual_space, as the vectors of that dual orthogonal to every
-    block of the new sub-system, and compared with the row space of G(v,k);
-    rank v-k-1 follows by rank-nullity.  The returned StsInstance is the
-    one pair-coverage check of a v-point system.
+    With T = v/3^k, the first sub-system is s's blocks in group 0 (points
+    0..T-1), B- the rest.  G(v,k) is constant on group 0, so s is orthogonal
+    to it exactly when its rows extend to a basis of dual(B-); the extending
+    rows give the excess k'-k and the within-group layout.  Then
+    canonicalize the sub-system's dual (sigma, l), pick the intersection
+    permutation at level max(l, k'-k) and reinsert the sub-system through
+    it, undoing within-group sorting.  Both parts are STSs by construction,
+    as in decompose and permute_sts: in the orthogonal STS s, a block
+    through two points of group 0 lies inside it, so the sub-system covers
+    each pair there once and B- none; the result is B- plus the sub-system's
+    image under a bijection of group 0.  The result's dual comes from
+    dual(B-), the one v-point dual_space, as the vectors orthogonal to every
+    new block; it must be G(v,k)'s row space: rank v-k-1.
     """
+    if not isinstance(s, StsInstance):
+        raise TypeError(f"force_exact_rank needs an StsInstance, got {type(s).__name__}")
     v = s.v
     gf3._check_layout(v, k)
     layout = gf3.generator_gvk(v, k)
@@ -229,13 +232,14 @@ def force_exact_rank(s: StsInstance, k: int) -> StsInstance:
     kprime = dual_minus.dim - 1
     tau0 = _layout_sort(extension[:, :t_order])
 
-    sub = StsInstance(BlockDesign(t_order, s.array[first]))
+    # An STS after the layout check: every block of s through two points of group 0.
+    sub = _unchecked(StsInstance, design=BlockDesign(t_order, s.array[first]))
     sigma, l = dual_canonicalize(sub)
-    level = max(l, kprime - k)
-    pi = perm_intersection(t_order, level)
-    relabel = tau0.inverse().after(pi.after(sigma))
-    replaced = permute_design(sub.design, relabel.image)
-    result = StsInstance(BlockDesign(v, np.concatenate([b_minus.array, replaced.array])))
+    pi = perm_intersection(t_order, max(l, kprime - k))
+    replaced = permute_design(sub.design, tau0.inverse().after(pi.after(sigma)).image)
+    # An STS: B- covers no pair of group 0, the relabelled sub-system each once.
+    blocks = np.concatenate([b_minus.array, replaced.array])
+    result = _unchecked(StsInstance, design=BlockDesign(v, blocks))
 
     # dual(result) = the combinations c @ dual_minus.basis with c orthogonal
     # to every column of sums, one column per replaced block.

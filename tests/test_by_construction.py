@@ -1,7 +1,8 @@
-"""Parts that are valid by construction: td_from_latin, permute_sts and
-decompose build StsInstance/TdInstance without re-running the axiom check.
-Each result must pass the verifiers and equal the checked construction of
-the same blocks, and no other code may skip the check."""
+"""Parts that are valid by construction: td_from_latin, permute_sts,
+decompose and force_exact_rank build StsInstance/TdInstance without
+re-running the axiom check.  Each result must pass the verifiers and equal
+the checked construction of the same blocks, and no other code may skip the
+check."""
 
 import ast
 import random
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from trisys import rankfix
 from trisys.composition import ag_blocks, compose, decompose, random_decomposition, random_latin
 from trisys.constructions import affine_geometry, small_sts
 from trisys.designs import (
@@ -21,11 +23,12 @@ from trisys.designs import (
     verify_sts,
     verify_td,
 )
+from trisys.rankfix import force_exact_rank
 
 ORDERS = (3, 7, 9, 13)
 SEEDS = range(3)
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "trisys").glob("*.py"))
-UNCHECKED_CALLERS = {"td_from_latin", "permute_sts", "decompose"}
+UNCHECKED_CALLERS = {"td_from_latin", "permute_sts", "decompose", "force_exact_rank"}
 
 
 def checked_sts(s):
@@ -73,6 +76,29 @@ def test_decompose_parts_equal_the_checked_parts(order, k):
         for td in back.tds.values():
             assert type(td) is TdInstance and verify_td(td.design, td.groups).ok
             assert td == checked_td(td)
+
+
+@pytest.mark.parametrize("t", (0, 1))
+@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("order", (7, 9, 13))
+def test_force_exact_rank_parts_equal_the_checked_parts(monkeypatch, order, k, t):
+    # The sub-system is the one dual_canonicalize receives; the result is returned.
+    subs, canonicalize = [], rankfix.dual_canonicalize
+
+    def capturing(sub):
+        subs.append(sub)
+        return canonicalize(sub)
+
+    monkeypatch.setattr(rankfix, "dual_canonicalize", capturing)
+    for seed in SEEDS:
+        dec = random_decomposition(k, order, random.Random(seed), t)
+        forced = force_exact_rank(compose(dec), k)
+        assert type(forced) is StsInstance and verify_sts(forced.design).ok
+        assert forced == checked_sts(forced)
+        (sub,) = subs
+        assert type(sub) is StsInstance and sub.v == order and verify_sts(sub.design).ok
+        assert sub == checked_sts(sub)
+        subs.clear()
 
 
 def test_ag_blocks_is_built_once_per_k():

@@ -250,6 +250,11 @@ INPUT_CASES = {
     ),
     "agl-order-negative": (lambda: bounds.agl_order(-1), ValueError, "k must be >= 0"),
     "gl2-order-negative": (lambda: bounds.gl2_order(-1), ValueError, "m must be >= 0"),
+    # Rank forcing rests on its input's STS check.
+    "force-rank-needs-sts": (
+        lambda: rankfix.force_exact_rank(COMPOSED_21.design, 1),
+        TypeError, "force_exact_rank needs an StsInstance, got BlockDesign",
+    ),
     "serialize-unknown-kind": (
         lambda: serialize(DesignFileRecord("blocks", 3)), ValueError, "unknown kind 'blocks'",
     ),
@@ -315,6 +320,48 @@ def failing_on(v):
 def test_internal_certificate_failures(monkeypatch):
     # The certificates that cannot fail on the library's own constructions,
     # made to fail, keep their AssertionError and text.
+    dec = random_decomposition(1, 7, random.Random(0))
+    with monkeypatch.context() as m:
+        m.setattr(gf3, "is_orthogonal", lambda s, space: False)
+        with pytest.raises(
+            AssertionError, match=r"^composed system is not orthogonal to G\(21,1\)$"
+        ):
+            compose(dec)
+
+    ag2 = affine_geometry(2)
+    with monkeypatch.context() as m:
+        m.setattr(composition, "affine_geometry", lambda k: constructions.AffineGeometry(
+            2, ag2.sts, Resolution(((0,), tuple(range(1, 12))))))
+        with pytest.raises(
+            AssertionError, match=r"^the class of \(0,1,2\) is not the inner blocks of AG\(k\)$"
+        ):
+            composition.split_standard_resolution(2)
+
+    with monkeypatch.context() as m:
+        m.setattr(constructions, "are_orthogonal", lambda a, b: False)
+        with pytest.raises(AssertionError, match=r"^linear pair failed the orthogonality check$"):
+            latin_with_mate(3)
+
+    with monkeypatch.context() as m:
+        m.setattr(rankfix, "_dual_layout",
+                  lambda d: rankfix.PointPermutation.identity(d.ambient_dim))
+        with pytest.raises(
+            AssertionError, match=r"^canonicalization failed to reach the standard layout$"
+        ):
+            rankfix.dual_canonicalize(StsInstance(BlockDesign(9, SWAPPED_AG2)))
+
+    with monkeypatch.context() as m:
+        m.setattr(gf3, "intersect_dim", lambda a, b: 2)
+        with pytest.raises(
+            AssertionError, match=r"^intersection permutation failed verification$"
+        ):
+            rankfix.perm_intersection(9, 1)
+
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "factorial", lambda n: 1)
+        with pytest.raises(AssertionError, match=r"^1764 does not divide 3! \* 7!\^3$"):
+            bounds.example_n3_bound()
+
     monkeypatch.setattr(composition, "verify_resolution", failing_on(9))
     dec, parts = order9()
     with pytest.raises(AssertionError, match=r"^assembled resolution invalid: forced failure$"):

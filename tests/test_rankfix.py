@@ -316,9 +316,10 @@ def test_force_exact_rank_eliminates_one_v_point_design(monkeypatch):
     assert seen.count(dec.v) == 1
 
 
-def test_force_exact_rank_verifies_one_v_point_system(monkeypatch):
-    # The result's StsInstance is the one STS certificate of a v-point
-    # system; B- is never composed into a checked system of its own.
+def test_force_exact_rank_verifies_no_v_point_system(monkeypatch):
+    # The input's check is the one STS certificate of a v-point system: the
+    # result is valid by construction (test_by_construction pins it), and B-
+    # is never composed into a checked system of its own.
     dec = random_decomposition(2, 7, random.Random(17))
     s = compose(dec)
     seen = []
@@ -329,7 +330,7 @@ def test_force_exact_rank_verifies_one_v_point_system(monkeypatch):
 
     monkeypatch.setattr(designs, "verify_sts", counting)
     force_exact_rank(s, dec.k)
-    assert seen.count(dec.v) == 1
+    assert seen.count(dec.v) == 0
 
 
 def test_force_rank_builds_no_decomposition(tmp_path, monkeypatch, capsys):
@@ -356,6 +357,7 @@ def test_force_rank_builds_no_decomposition(tmp_path, monkeypatch, capsys):
             m.setattr(designs.TdInstance, "__post_init__", lambda td: tds.append(type(td)))
             m.setattr(designs, "_unchecked", recording)
             m.setattr(composition, "_unchecked", recording)
+            m.setattr(rankfix, "_unchecked", recording)
             assert main(["construct", "force-rank", "--in", f"c{k}.sts.jsonl"]) == 0
     capsys.readouterr()
     v = 3**3 * 7
