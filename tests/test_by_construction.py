@@ -23,7 +23,6 @@ from trisys.designs import (
     verify_sts,
     verify_td,
 )
-from trisys.rankfix import force_exact_rank
 
 ORDERS = (3, 7, 9, 13)
 SEEDS = range(3)
@@ -92,7 +91,7 @@ def test_force_exact_rank_parts_equal_the_checked_parts(monkeypatch, order, k, t
     monkeypatch.setattr(rankfix, "dual_canonicalize", capturing)
     for seed in SEEDS:
         dec = random_decomposition(k, order, random.Random(seed), t)
-        forced = force_exact_rank(compose(dec), k)
+        forced = rankfix.force_exact_rank(compose(dec), k)
         assert type(forced) is StsInstance and verify_sts(forced.design).ok
         assert forced == checked_sts(forced)
         (sub,) = subs
