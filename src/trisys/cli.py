@@ -28,7 +28,6 @@ from .designs import (
     verify_td,
 )
 from .io import (
-    DesignFileRecord,
     read_design,
     resolution_from_record,
     resolution_record,
@@ -128,14 +127,6 @@ def _entry(check: str, rep: VerificationReport) -> dict:
     return entry
 
 
-def _resolution_check(design: BlockDesign, rec: DesignFileRecord) -> VerificationReport:
-    """The resolution a file holds, checked against design; ValueError if
-    it names a block that design does not have."""
-    if rec.kind != "resolution":
-        return VerificationReport(False, ("not a resolution file",))
-    return verify_resolution(design, resolution_from_record(rec, design))
-
-
 def _print_report(checks: list[dict]) -> int:
     ok = all(c["ok"] for c in checks)
     print(json.dumps({"ok": ok, "checks": checks}, separators=(",", ":")))
@@ -147,7 +138,8 @@ def _cmd_verify(args) -> int:
     try:
         design = BlockDesign(rec.v, rec.body)
         if rec.kind == "resolution":
-            checks = [_entry("resolution", _resolution_check(design, rec))]
+            res = resolution_from_record(rec, design)
+            checks = [_entry("resolution", verify_resolution(design, res))]
         elif rec.kind != "td":
             checks = [_entry("sts-axioms", verify_sts(design))]
         elif rec.groups is None:
@@ -163,7 +155,7 @@ def _cmd_verify(args) -> int:
     if args.resolution:
         rrec = read_design(args.resolution)
         try:
-            rep = _resolution_check(design, rrec)
+            rep = verify_resolution(design, resolution_from_record(rrec, design))
         except ValueError as exc:
             rep = VerificationReport(False, (str(exc),))
         checks.append(_entry("resolution", rep))

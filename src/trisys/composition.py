@@ -10,8 +10,9 @@ super-groups of 3^t point groups each: its sub-systems have order
 only the triples meeting more than one super-group carry a TD.  The
 plain grouping is t = 0.  A TD on canonical groups is its Latin square,
 so all TDs are one stack of squares, drawn, placed (embedded_parts) and
-read back (decompose) in bulk; resolution assembly maps each ingredient
-class through its part's composed indices (BlockDesign.lookup).
+read back (decompose) in bulk.  embedded_parts places every part in one
+array, in part order, and resolution assembly maps each ingredient class
+through one BlockDesign.lookup of that array, cut by part size.
 The catalogue of resolvable ingredients, resolvable_sts, lives here
 because it composes orders 9 (mod 18) over order t/3.
 """
@@ -120,11 +121,12 @@ class Decomposition(gf3._ArrayValue):
         return {key: td_from_latin(LatinSquare(self.T, sq)) for key, sq in zip(outer, self.squares)}
 
 
-def embedded_parts(d: Decomposition) -> tuple[list[np.ndarray], dict[Block, np.ndarray]]:
-    """Every ingredient's block array in the points of the composed system:
-    sub-system j shifted by j * 3^t * T, and on cross triple (i1, i2, i3)
-    the blocks (i1*T + r, i2*T + c, i3*T + L[r, c]) of its square L, cell by
-    cell as its TD lists them; all TDs are placed at once, as one array."""
+def embedded_parts(d: Decomposition) -> np.ndarray:
+    """The composed system's rows, one (b, 3) int64 array in part order:
+    sub-system j shifted by j * 3^t * T, then, on each cross triple
+    (i1, i2, i3) in split_ag's order, the blocks (i1*T + r, i2*T + c,
+    i3*T + L[r, c]) of its square L, cell by cell as its TD lists them;
+    all TDs are placed at once."""
     m = 3**d.t * d.T
     subs = [sub.array + j * m for j, sub in enumerate(d.sub_systems)]
     n, T = len(d.squares), d.T
@@ -132,14 +134,13 @@ def embedded_parts(d: Decomposition) -> tuple[list[np.ndarray], dict[Block, np.n
     r, c = np.divmod(np.arange(T * T), T)
     cells = np.stack(np.broadcast_arrays(r, c, d.squares.reshape(n, T * T)), axis=2)
     placed = np.array(outer, dtype=np.int64).reshape(n, 1, 3) * T + cells
-    return subs, dict(zip(outer, placed))
+    return np.concatenate([*subs, placed.reshape(n * T * T, 3)])
 
 
 def compose(d: Decomposition) -> StsInstance:
     """Union of embedded sub-system and TD blocks; a triple system on
     3^k * T points orthogonal to G(v, k)."""
-    subs, tds = embedded_parts(d)
-    sts = StsInstance(BlockDesign(d.v, np.concatenate(subs + list(tds.values()))))
+    sts = StsInstance(BlockDesign(d.v, embedded_parts(d)))
     if not gf3.is_orthogonal(sts, gf3.row_space(gf3.generator_gvk(d.v, d.k))):
         raise AssertionError(f"composed system is not orthogonal to G({d.v},{d.k})")
     return sts
@@ -238,19 +239,18 @@ def compose_resolution(
 
     # The blocks of compose(dec), whose certificates are compose's to give;
     # the resolution's own certificate is the verify_resolution below.
-    sub_parts, td_parts = embedded_parts(dec)
-    composed = BlockDesign(dec.v, np.concatenate(sub_parts + list(td_parts.values())))
-
-    def classes_of(part: np.ndarray, r: Resolution) -> list[np.ndarray]:  # in composed indices
-        index = composed.lookup(part)
-        return [index[c] for c in r.class_arrays()]
-
+    rows = embedded_parts(dec)
+    composed = BlockDesign(dec.v, rows)
+    # Each ingredient's blocks in composed indices, cut by part size.
+    sizes = [len(s.array) for s in subs] + [dec.T**2] * len(tds)
+    parts = np.split(composed.lookup(rows), np.cumsum(sizes)[:-1])
+    ingredients = [*sub_resolutions, *(td_resolutions[key] for key in tds)]
+    part_classes = [[p[c] for c in r.class_arrays()] for p, r in zip(parts, ingredients)]
     # Class j of every sub-system makes one class, and so does class j of
     # the TDs on the triples of one outer class.
-    classes = [np.concatenate(cs) for cs in zip(*map(classes_of, sub_parts, sub_resolutions))]
-    td_classes = [classes_of(a, td_resolutions[tr]) for tr, a in td_parts.items()]
-    for outer_cls in outer_resolution.class_arrays():
-        classes += [np.concatenate(cs) for cs in zip(*(td_classes[i] for i in outer_cls.tolist()))]
+    n, classes = len(subs), []
+    for group in [range(n), *(n + c for c in outer_resolution.class_arrays())]:
+        classes += [np.concatenate(cs) for cs in zip(*(part_classes[i] for i in group))]
     resolution = Resolution([np.sort(c) for c in classes])
     verify_resolution(composed, resolution).require(AssertionError, "assembled resolution invalid")
     return resolution

@@ -267,7 +267,12 @@ def resolution_record(d: BlockDesign, r: Resolution) -> DesignFileRecord:
 
 def resolution_from_record(rec: DesignFileRecord, d: BlockDesign) -> Resolution:
     """Rebind a resolution file's inline blocks to indices into d; the
-    first one, in file order, that is not a block of d is named."""
+    first one, in file order, that is not a block of d is named.  A record
+    of another kind, or of another order than d, is refused."""
+    if rec.kind != "resolution":
+        raise ValueError("not a resolution file")
+    if rec.v != d.v:
+        raise ValueError(f"resolution file has v={rec.v}, design has v={d.v}")
     if isinstance(rec.body, np.ndarray):
         flat, n = np.sort(rec.body, axis=1), len(rec.body)
     else:

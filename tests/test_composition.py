@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from trisys import gf3
@@ -15,11 +16,13 @@ from trisys.composition import (
     decompose,
     random_decomposition,
     random_latin,
+    resolvable_sts,
     split_ag,
     split_standard_resolution,
 )
 from trisys.constructions import affine_geometry, kts15, latin_with_mate, small_sts
 from trisys.designs import (
+    BlockDesign,
     Resolution,
     resolve_td,
     td_from_latin,
@@ -301,6 +304,82 @@ def test_compose_resolution_rejects_missing_td_resolution():
             td_resolutions={},
             outer_resolution=affine_geometry(1).standard_resolution,
         )
+
+
+def linear_mate_parts(k, T, t=0):
+    """A decomposition and compose_resolution's other arguments: sub-systems
+    resolvable_sts(3^t * T) with their resolution (the point and no class for
+    order 1), every TD the square of latin_with_mate(T) resolved by its mate,
+    and as outer resolution AG(k)'s translation one (t = 0), the split one
+    (t = 1), or none (t = k: there are no TDs)."""
+    m = 3**t * T
+    sub, sub_res = resolvable_sts(m) if m > 1 else (small_sts(1), Resolution(()))
+    main, mate = latin_with_mate(T)
+    _, outer = split_ag(k, t)
+    dec = Decomposition(k=k, T=T, sub_systems=(sub,) * 3 ** (k - t),
+                        tds=np.repeat(main.cells[None], len(outer), axis=0), t=t)
+    if t == k:
+        outer_res = Resolution(())
+    else:
+        outer_res = affine_geometry(k).standard_resolution if t == 0 else split_standard_resolution(k)[1]
+    return dec, dict(sub_resolutions=(sub_res,) * len(dec.sub_systems),
+                     td_resolutions={b: resolve_td(main, mate) for b in outer},
+                     outer_resolution=outer_res)
+
+
+def per_part_resolution(dec, sub_resolutions, td_resolutions, outer_resolution):
+    """The assembly with one lookup per part: each sub-system and each TD
+    is placed and looked up in the composed system on its own."""
+    composed = compose(dec).design
+    m = 3**dec.t * dec.T
+
+    def classes_of(part, r):
+        index = composed.lookup(part)
+        return [index[c] for c in r.class_arrays()]
+
+    sub_parts = [sub.array + j * m for j, sub in enumerate(dec.sub_systems)]
+    # A TD's groups r, T + c, 2T + L move onto S_i1, S_i2, S_i3 of its triple.
+    td_parts = {key: td.array + (np.array(key) - np.arange(3)) * dec.T
+                for key, td in dec.tds.items()}
+    classes = [np.concatenate(cs) for cs in zip(*map(classes_of, sub_parts, sub_resolutions))]
+    td_classes = [classes_of(a, td_resolutions[key]) for key, a in td_parts.items()]
+    for outer_cls in outer_resolution.class_arrays():
+        classes += [np.concatenate(cs) for cs in zip(*(td_classes[i] for i in outer_cls.tolist()))]
+    return Resolution([np.sort(c) for c in classes])
+
+
+@pytest.mark.parametrize("k, T, t", [
+    *((k, T, 0) for T in (3, 9) for k in (1, 2, 3)),  # linear mate
+    (2, 3, 1), (3, 3, 1), (2, 9, 1),  # t = 1 splits
+    (2, 1, 0), (3, 1, 0), (2, 1, 1),  # T = 1: sub-systems without blocks
+    (0, 9, 0), (1, 3, 1),  # t = k: no TDs
+])
+def test_compose_resolution_equals_the_per_part_assembly(k, T, t):
+    dec, parts = linear_mate_parts(k, T, t)
+    rng = random.Random(100 * k + 10 * T + t)
+
+    def shuffled(r):  # the same classes in a seeded order, so parts differ
+        classes = r.class_arrays()
+        rng.shuffle(classes)
+        return Resolution(classes)
+
+    parts = dict(sub_resolutions=[shuffled(r) for r in parts["sub_resolutions"]],
+                 td_resolutions={b: shuffled(r) for b, r in parts["td_resolutions"].items()},
+                 outer_resolution=shuffled(parts["outer_resolution"]))
+    res = compose_resolution(dec, **parts)
+    assert res == per_part_resolution(dec, **parts)
+    assert res.n_classes == (dec.v - 1) // 2
+    assert verify_resolution(compose(dec).design, res).ok
+
+
+def test_compose_resolution_makes_one_lookup(monkeypatch):
+    dec, parts = linear_mate_parts(2, 9)  # 9 sub-systems and 12 TDs
+    calls = []
+    lookup = BlockDesign.lookup
+    monkeypatch.setattr(BlockDesign, "lookup",
+                        lambda self, rows: calls.append(len(rows)) or lookup(self, rows))
+    compose_resolution(dec, **parts)
+    assert calls == [81 * 80 // 6]  # every block of the composed system at once
 
 
 def test_random_decomposition_deterministic():

@@ -189,8 +189,7 @@ def composed(k: int, T: int, t: int, seed: int):
     """A seeded decomposition, its composed system, and its B- (every block
     but the first sub-system's)."""
     dec = random_decomposition(k, T, random.Random(seed), t)
-    subs, tds = embedded_parts(dec)
-    b_minus = BlockDesign(dec.v, np.concatenate([np.zeros((0, 3), int), *subs[1:], *tds.values()]))
+    b_minus = BlockDesign(dec.v, embedded_parts(dec)[len(dec.sub_systems[0].array):])
     return dec, compose(dec).design, b_minus
 
 

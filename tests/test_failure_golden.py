@@ -389,7 +389,8 @@ TD3_BODY = "".join(f"[{a},{b},{c}]\n" for a, b, c in TD3)
 
 # name -> (file text, extra arguments, stdout line, exit code).  Without a
 # file text the file verified is `construct ag --k 2`'s system; "AG2" and
-# "AG2.res" in the extra arguments name its system and resolution files.
+# "AG2.res" in the extra arguments name its system and resolution files,
+# and "AG2.res-v27" that resolution file with its header's v set to 27.
 VERIFY_CASES = {
     "broken-sts": (
         HEADER.format(kind="sts", v=4) + "[0,1,2]\n[0,1,3]\n", (),
@@ -459,6 +460,13 @@ VERIFY_CASES = {
         '{"ok":false,"checks":[{"check":"sts-axioms","ok":true},'
         '{"check":"resolution","ok":false,"detail":"not a resolution file"}]}', 1,
     ),
+    # Every block of AG(2) is a block of the design, so only the header's
+    # v tells this file from AG(2)'s resolution.
+    "resolution-file-of-another-order": (
+        None, ("--resolution", "AG2.res-v27"),
+        '{"ok":false,"checks":[{"check":"sts-axioms","ok":true},'
+        '{"check":"resolution","ok":false,"detail":"resolution file has v=27, design has v=9"}]}', 1,
+    ),
     "orthogonal-wrong-v": (
         None, ("--orthogonal-to", "27,3", "--rank", "3"),
         '{"ok":false,"checks":[{"check":"sts-axioms","ok":true},'
@@ -486,13 +494,16 @@ VERIFY_CASES = {
 def ag2(tmp_path_factory):
     d = tmp_path_factory.mktemp("ag2")
     assert main(["construct", "ag", "--k", "2", "--out", str(d / "ag2")]) == 0
+    res = (d / "ag2.resolution.jsonl").read_text(encoding="utf-8")
+    (d / "ag2-v27.resolution.jsonl").write_text(res.replace('"v":9', '"v":27', 1), encoding="utf-8")
     return d / "ag2"
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY_CASES))
 def test_verify_failure_report(ag2, tmp_path, capsys, name):
     text, extra, line, code = VERIFY_CASES[name]
-    files = {"AG2": f"{ag2}.sts.jsonl", "AG2.res": f"{ag2}.resolution.jsonl"}
+    files = {"AG2": f"{ag2}.sts.jsonl", "AG2.res": f"{ag2}.resolution.jsonl",
+             "AG2.res-v27": f"{ag2}-v27.resolution.jsonl"}
     path = files["AG2"]
     if text is not None:
         path = tmp_path / "input.jsonl"

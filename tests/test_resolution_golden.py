@@ -141,3 +141,16 @@ def test_resolution_from_record_on_empty_design():
     with pytest.raises(ValueError) as info:
         io.resolution_from_record(rec, BlockDesign(3, ()))
     assert str(info.value) == "resolution references unknown block (0, 1, 2)"
+
+
+def test_resolution_from_record_refuses_other_kind_and_order():
+    ag = affine_geometry(2)
+    rec = io.resolution_record(ag.sts.design, ag.standard_resolution)
+    for other, text in (
+        (io.sts_record(ag.sts), "not a resolution file"),
+        (io.DesignFileRecord("resolution", 27, classes=rec.class_body),
+         "resolution file has v=27, design has v=9"),
+    ):
+        with pytest.raises(ValueError) as info:
+            io.resolution_from_record(other, ag.sts.design)
+        assert str(info.value) == text
