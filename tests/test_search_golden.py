@@ -5,7 +5,10 @@ SHA-256 of repr() of the classes (so the class order and the block order
 inside each class are fixed), the node count, the class count and the
 budget flag.  The values were recorded from the linked-node dancing-links
 engine that the bitset engine replaced, so any change to the choice rule,
-the row order or the node count shows here.
+the row order or the node count shows here.  The c1-9-3, c1-9-7, c1-7-4
+and c1-7-2 pins, the rest of the order-27 and order-21 inputs the
+benchmark's resolve workload draws, were recorded from the depth-first
+bitset engine before the level sweep was added to it.
 """
 
 import hashlib
@@ -55,6 +58,13 @@ SEARCH = {
     "c1-7-1": ("9ebb34ad9540847b9e65f0511bcb4ef64727098e9472f8ca03fc636ec19f0e76",
                1795, 237, False),
     "c1-7-0": (ABSENT, 1819, 212, False),
+    "c1-9-3": ("91c7c87ff4159639332dabcf7aa6f0cc71325df31f924cd0af4e65fa0e0e3d9d",
+               39984, 3495, False),
+    "c1-9-7": ("d5b2b2631916256ea95c92636de878b3d9b7ed4e915128888a5de0f6c8676f1d",
+               40126, 3583, False),
+    "c1-7-4": ("40fccbfe8eb2b96d6ba5f68dece2b1e978fae4bda5773ec992450c19e311804a",
+               1722, 212, False),
+    "c1-7-2": (ABSENT, 1685, 202, False),
 }
 
 # name -> (digest of the classes, class count, complete, nodes) from
@@ -76,6 +86,14 @@ PASS_A = {
                237, True, 1781),
     "c1-7-0": ("06e19d4d1e1cc392ec15dbb9b2e83a24e0f388150ed4a69f7ec1e16cb715b5aa",
                212, True, 1714),
+    "c1-9-3": ("5b36a760e2b0b2e185d238609d9ddcbceed6940de411176f654dd7d478015c93",
+               3495, True, 39879),
+    "c1-9-7": ("6d8549aad2d2b276d204c6856f902cf2478f91d42a2e881d33e4781a311aacb4",
+               3583, True, 40094),
+    "c1-7-4": ("81441d62ff8f782efc9ce69d9a54bb9ca8e340a1d0bbbe3ed676211f7fab5327",
+               212, True, 1692),
+    "c1-7-2": ("03466a729323da6d4462505d786addefa0df5d5993122e4c5af699f2309f44b4",
+               202, True, 1674),
 }
 
 
