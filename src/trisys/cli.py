@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 bad parameters,
 3 construction/search failure (budget), 4 I/O failure.  Commands return
 0, 1 or 3 themselves; only `main` maps exceptions to codes: an OSError
-exits 4 and a ValueError (a bad option or a malformed file) exits 2, each
-with one line on stderr.
+exits 4, and a ValueError (a bad option or a malformed file) or a
+MemoryError (an input too large for the memory at hand) exits 2, each with
+one line on stderr.
 """
 
 from __future__ import annotations
@@ -267,6 +268,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_ARGS
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_BAD_ARGS
 
 

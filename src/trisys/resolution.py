@@ -9,7 +9,12 @@ at a configurable class count, so a missing answer is reported as either
 Both passes run `exact_cover`'s Algorithm X on int bitsets: the open
 column with the fewest alive candidates first (leftmost on ties), rows in
 insertion order, so classes and resolutions come out in a fixed order.
-Pass (b) has one row per class, and its column masks take
+Pass (a) asks for every class (up to the cap), so `exact_cover` expands
+whole subtrees of it in numpy level sweeps; a sweep keeps a subtree only
+when the depth-first search would have finished it within the budget and
+the cap too, so the classes, their order and the node counts are those of
+the plain depth-first search.  Pass (b) asks for one resolution and stays
+depth-first.  It has one row per class, and its column masks take
 b * classes / 8 bytes (about 15 MB for the 117 blocks of AG(3) at the
 default cap of 10^6 classes); clash masks are ORed from them per row try,
 since a classes x classes table would need classes^2 / 8 bytes.

@@ -208,6 +208,29 @@ def test_malformed_file_exits_2_without_traceback(tmp_path, name):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def test_out_of_memory_exits_2_without_traceback(tmp_path):
+    # One block on 200,000 points: the pair check asks for a 37 GiB mask.
+    # The address-space limit is set in the child only.
+    resource = pytest.importorskip("resource")
+    big = tmp_path / "big.sts.jsonl"
+    big.write_text('{"format_version":"1","kind":"sts","v":200000}\n[0,1,2]\n', encoding="utf-8")
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    limit = 1536 * 2**20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "trisys.cli", "verify", str(big)],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+
+
 NOT_INTEGERS = {
     "float-v": ('{"format_version":"1","kind":"sts","v":3.7}\n[0,1,2]\n', 1),
     "bool-v": ('{"format_version":"1","kind":"sts","v":true}\n', 1),

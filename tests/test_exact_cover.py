@@ -3,6 +3,9 @@
 The hypothesis test compares `solve_exact_cover` with a brute-force
 oracle over every subset of a few random rows; the pinned cases fix the
 edge behaviour (no columns, empty rows, repeated and bad column indices).
+A second hypothesis test compares the search with and without the level
+sweep (`_SWEEP_WORDS` set to 0 turns it off): the results must be equal,
+node counts included, under every cap and budget.
 """
 
 from itertools import combinations
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trisys import exact_cover
 from trisys.exact_cover import CoverResult, ExactCover, solve_exact_cover
 
 # Knuth's running example: 7 columns, unique solution {row0, row3, row4}.
@@ -162,3 +166,52 @@ def test_solution_deeper_than_the_recursion_limit():
     rows = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(1100)]
     res = solve_exact_cover(3300, rows, max_solutions=2)
     assert res == CoverResult((tuple(range(1100)),), True, 1100)
+
+
+@st.composite
+def sweep_instances(draw):
+    """Rows of mixed width, empty ones included; 63, 64 and 65 rows put the
+    row words on either side of a word boundary."""
+    n_cols = draw(st.integers(1, 9))
+    n_rows = draw(st.sampled_from([1, 4, 12, 30, 63, 64, 65]))
+    row = st.lists(st.integers(0, n_cols - 1), max_size=4)
+    return n_cols, draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    sweep_instances(),
+    st.one_of(st.integers(1, 6), st.just(10**9)),
+    st.one_of(st.integers(0, 300), st.just(10**8)),
+)
+def test_sweep_matches_depth_first(instance, cap, budget):
+    n_cols, rows = instance
+    swept = solve_exact_cover(n_cols, rows, max_solutions=cap, node_budget=budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_cover, "_SWEEP_WORDS", 0)
+        plain = solve_exact_cover(n_cols, rows, max_solutions=cap, node_budget=budget)
+    assert swept == plain
+
+
+def test_sweep_takes_a_whole_tree():
+    # Partitions of 6 columns into pairs: 15 solutions, all found by the
+    # sweep at the root, in the depth-first order and with its node count.
+    rows = list(combinations(range(6), 2))
+    ec = ExactCover(6)
+    for r in rows:
+        ec.add_row(r)
+    calls = []
+    sweep = exact_cover._Sweep.__call__
+
+    def counted(self, *args):
+        calls.append(sweep(self, *args))
+        return calls[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_cover._Sweep, "__call__", counted)
+        res = ec.solve(max_solutions=16)
+    assert len(calls) == 1 and calls[0] is not None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_cover, "_SWEEP_WORDS", 0)
+        assert ec.solve(max_solutions=16) == res
+    assert len(res.solutions) == 15 and res.complete
