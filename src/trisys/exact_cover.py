@@ -66,12 +66,16 @@ class CoverResult:
     nodes: int
 
 
-def _entries(rows: Sequence[tuple[int, ...]], first: int = 0):
-    """Each row's length, and each entry's column and row (rows numbered
-    from `first`), in row order."""
+def _entries(rows: Sequence[tuple[int, ...]], first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's column and row (rows numbered from `first`), in row order."""
     lengths = np.fromiter(map(len, rows), np.intp, len(rows))
     cols = np.fromiter(chain.from_iterable(rows), np.intp, int(lengths.sum()))
-    return lengths, cols, np.repeat(np.arange(first, first + len(rows)), lengths)
+    return cols, np.repeat(np.arange(first, first + len(rows)), lengths)
+
+
+def _bit(i: np.ndarray) -> np.ndarray:
+    """1 << (i mod 64) as uint64."""
+    return np.left_shift(np.uint64(1), (i & 63).astype(np.uint64))
 
 
 def _packed_columns(n_cols: int, rows: Sequence[tuple[int, ...]]) -> np.ndarray:
@@ -79,16 +83,22 @@ def _packed_columns(n_cols: int, rows: Sequence[tuple[int, ...]]) -> np.ndarray:
     bit r is set when row r has column c.  A last, all-zero row pads, and
     every row has a spare bit past the last row."""
     words = np.zeros((n_cols + 1, len(rows) // 64 + 1), "<u8")
-    as_bytes = words.view(np.uint8)
+    as_bytes = words.view(np.uint8)  # byte r // 8 of a little-endian row holds bit r
     for lo in range(0, len(rows), _PACK_ROWS):
-        _, cols, row_ids = _entries(rows[lo:lo + _PACK_ROWS], lo)
+        cols, row_ids = _entries(rows[lo:lo + _PACK_ROWS], lo)
         np.bitwise_or.at(as_bytes, (cols, row_ids >> 3), (1 << (row_ids & 7)).astype(np.uint8))
     return words
 
 
-def _bit(i: np.ndarray) -> np.ndarray:
-    """1 << (i mod 64) as uint64."""
-    return np.left_shift(np.uint64(1), (i & 63).astype(np.uint64))
+def _grouped(keys: np.ndarray, values: np.ndarray, n: int, fill: int) -> np.ndarray:
+    """Row k holds the values whose key is k, in their order, padded with `fill`."""
+    counts = np.bincount(keys, minlength=n)
+    order = np.argsort(keys, kind="stable")
+    out = np.full((n, int(counts.max(initial=0))), fill)
+    out[keys[order], np.arange(len(keys)) - np.repeat(np.cumsum(counts) - counts, counts)] = (
+        values[order]
+    )
+    return out
 
 
 class _Sweep:
@@ -104,23 +114,15 @@ class _Sweep:
         self.frontier = _SWEEP_WORDS // n_words
         self.none = n_rows + 1  # more candidates than any column has
         self.row_dtype = np.min_scalar_type(n_rows)
-        lengths, cols, row_ids = _entries(rows)
+        cols, row_ids = _entries(rows)
         # Each row's columns, padded with column n_cols, whose words are zero,
         # and the same columns as bits, for the covered words.
-        starts = np.cumsum(lengths) - lengths
-        self.row_cols = np.full((n_rows, int(lengths.max(initial=0))), n_cols)
-        self.row_cols[row_ids, np.arange(len(cols)) - np.repeat(starts, lengths)] = cols
+        self.row_cols = _grouped(row_ids, cols, n_rows, n_cols)
         self.row_bits = np.zeros((n_rows, n_cols // 64 + 1), "<u8")
         np.bitwise_or.at(self.row_bits, (row_ids, cols >> 6), _bit(cols))
         # Each column's rows in row order, padded with row n_rows, whose
         # alive bit is never set.
-        order = np.argsort(cols, kind="stable")
-        counts = np.bincount(cols, minlength=n_cols)
-        starts = np.cumsum(counts) - counts
-        self.col_rows = np.full((n_cols, int(counts.max(initial=0))), n_rows)
-        self.col_rows[cols[order], np.arange(len(cols)) - np.repeat(starts, counts)] = (
-            row_ids[order]
-        )
+        self.col_rows = _grouped(cols, row_ids, n_cols, n_rows)
 
     def __call__(
         self, open_cols: list[int], alive: int, base: list[int], budget: int, cap: int
