@@ -228,7 +228,7 @@ class ExactCover:
         sweep = None
         if max_solutions > 1 and 0 < self.n_cols * words.shape[1] <= _SWEEP_WORDS:
             sweep = _Sweep(self.n_cols, words, rows)
-        del words
+        del words  # the masks hold its bits; only a sweep needs the array
         none = len(rows) + 1  # more candidates than any column has
         solutions: list[tuple[int, ...]] = []
         nodes = 0
