@@ -7,8 +7,12 @@ the sorted 3-tuple view, is computed on each access, for output only.  One
 sort key per row orders the array and finds repeated blocks as equal
 neighbours, and `lookup` binary-searches the same keys: the code
 (a*v + b)*v + c, or (a, b, c) records once v is too large for a code to fit
-in int64.  The STS and TD axioms are one check on the array: every required
-pair p < q, coded p*v + q, must occur in exactly one block.
+in int64.  Rows given sorted, with strictly increasing codes, are taken
+without a sort, as every file the library writes and every mask of a design's
+array are.  The STS and TD axioms are one check on the array: every required
+pair p < q, coded p*v + q, must occur in exactly one block.  When an STS
+check has exactly v(v - 1)/2 codes, marking them in a v x v mask decides it;
+only a failing system, or another count, sorts them to name its faults.
 A Resolution stores its classes in order as one read-only int64 `index` of
 blocks plus class `bounds` (class i is index[bounds[i]:bounds[i + 1]], since
 untrusted classes may be ragged); verify_resolution decides in one numpy
@@ -77,6 +81,11 @@ def _sorted_block(b, v: int) -> Block:
     return t
 
 
+def _ordered(a: np.ndarray, v: int) -> bool:
+    """Is every row (a, b, c) of an (n, 3) int array 0 <= a < b < c < v?"""
+    return bool(((a[:, 0] >= 0) & (a[:, 0] < a[:, 1]) & (a[:, 1] < a[:, 2]) & (a[:, 2] < v)).all())
+
+
 def _sort_keys(rows: np.ndarray, v: int) -> np.ndarray:
     """Keys that order sorted rows (a, b, c) of points 0..v-1 as the rows:
     the code (a*v + b)*v + c while v^3 fits in int64, and beyond that
@@ -98,12 +107,14 @@ class BlockDesign(gf3._ArrayValue):
             raise ValueError(f"negative point count v={self.v}")
         blocks = self.array if isinstance(self.array, np.ndarray) else tuple(self.array)
         try:
-            a = np.sort(np.asarray(blocks, dtype=np.int64), axis=-1)
+            # Rows as given first: only rows that fail are sorted.
+            a = np.asarray(blocks, dtype=np.int64)
+            ok = a.shape == (len(blocks), 3) and (
+                _ordered(a, self.v) or _ordered(a := np.sort(a, axis=1), self.v)
+            )
         except (TypeError, ValueError, OverflowError):
-            a = None
-        if a is None or a.shape != (len(blocks), 3) or not (
-            (a[:, 0] >= 0) & (a[:, 0] < a[:, 1]) & (a[:, 1] < a[:, 2]) & (a[:, 2] < self.v)
-        ).all():
+            ok = False
+        if not ok:
             # Block by block, in input order, so the first bad block is named,
             # a row of a 2-D array as a tuple of ints.
             if isinstance(blocks, np.ndarray) and blocks.ndim == 2:
@@ -111,11 +122,17 @@ class BlockDesign(gf3._ArrayValue):
             a = np.array([_sorted_block(b, self.v) for b in blocks], dtype=np.int64)
             a = a.reshape(-1, 3)
         keys = _sort_keys(a, self.v)
-        order = np.argsort(keys)
-        a, keys = a[order], keys[order]
-        repeated = keys[1:] == keys[:-1]
-        if repeated.any():
-            raise ValueError(f"duplicate block {tuple(a[repeated.argmax()].tolist())!r}")
+        # Strictly increasing int64 keys are already in order, with no block
+        # twice; record keys (no `>`) and any other keys take the argsort.
+        if keys.dtype.names is None and (keys[1:] > keys[:-1]).all():
+            if isinstance(blocks, np.ndarray) and np.may_share_memory(a, blocks):
+                a = a.copy()  # never freeze or alias the caller's array
+        else:
+            order = np.argsort(keys)
+            a, keys = a[order], keys[order]
+            repeated = keys[1:] == keys[:-1]
+            if repeated.any():
+                raise ValueError(f"duplicate block {tuple(a[repeated.argmax()].tolist())!r}")
         a.flags.writeable = False
         object.__setattr__(self, "array", a)
 
@@ -154,8 +171,17 @@ def _pair_faults(v: int, blocks: np.ndarray, name: str, required=None) -> list[s
     A pair p < q is coded p*v + q.  Every pair of a row of `blocks` must be
     required (default: all, coded only if one is missing); pairs covered more
     than once come first, ascending, then the uncovered ones in required's order.
+    With the default and exactly v(v - 1)/2 codes, the codes cover every pair
+    once exactly when they are distinct: marks in a v x v mask (v^2 bytes,
+    under the codes' own 4v^2) decide that in linear time, and only a repeat
+    takes the sort that names the faults.
     """
     codes = (blocks[:, [0, 0, 1]] * v + blocks[:, [1, 2, 2]]).ravel()
+    if required is None and codes.size == v * (v - 1) // 2:
+        seen = np.zeros(v * v, dtype=bool)
+        seen[codes] = True
+        if np.count_nonzero(seen) == codes.size:
+            return []
     covered, counts = np.unique(codes, return_counts=True)
     over = counts > 1
     faults = [

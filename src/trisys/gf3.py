@@ -5,6 +5,10 @@ Everything here is integer arithmetic; no floating point is used anywhere.
 Subspaces carry a canonical reduced-row-echelon basis, so two equal
 subspaces compare equal entry for entry.  _ArrayValue, the package's one
 value equality, compares and hashes every field, arrays by content.
+Orthogonality of blocks to a GF(3) basis is decided on packed words: each
+point's column of the basis becomes 3-bit fields, 21 to a uint64 word, so a
+block's dim sums take ceil(dim/21) word additions and a bit test
+(_nonzero_sums; the SWAR idea of Boothby and Bradshaw, arXiv:0901.1413).
 """
 
 from __future__ import annotations
@@ -15,6 +19,9 @@ import numpy as np
 
 MAX_PRIME = 251
 _GATHER_CHUNK = 1 << 16  # blocks per gather: bounds its dim x chunk x 3 temporary
+_FIELDS = 21  # 3-bit GF(3) fields per uint64 word of a packed column
+_LOW_ONE = np.uint64(int("001" * _FIELDS, 2))  # the low bit of every field
+_LOW_TWO = np.uint64(int("011" * _FIELDS, 2))  # the low two bits of every field
 
 
 def _check_prime(p: int) -> None:
@@ -182,10 +189,40 @@ def intersect_dim(a: Subspace, b: Subspace) -> int:
     return a.dim + b.dim - rank(np.vstack([a.basis, b.basis]), 3)
 
 
+def _packed_columns(basis: np.ndarray) -> np.ndarray:
+    """Each point's column of a GF(3) basis as a (v, ceil(dim/21)) uint64 array
+    of 3-bit fields: coordinate i sits in word i // 21 at bit 3 * (i % 21)."""
+    dim, v = basis.shape
+    words = -(-dim // _FIELDS)
+    padded = np.zeros((words * _FIELDS, v), dtype=np.uint64)
+    padded[:dim] = np.mod(basis, 3)
+    shifts = np.arange(0, 3 * _FIELDS, 3, dtype=np.uint64)[:, None]
+    fields = padded.reshape(words, _FIELDS, v) << shifts
+    return np.ascontiguousarray(np.bitwise_or.reduce(fields, axis=1).T)
+
+
 def _nonzero_sums(basis: np.ndarray, blocks: np.ndarray, p: int) -> np.ndarray:
-    """Per row of a (b, 3) block array: does some basis row sum to nonzero mod p?"""
+    """Per row of a (b, 3) block array: does some basis row sum to nonzero mod p?
+
+    At p = 3, a block's sums are field sums of its points' packed columns
+    (_packed_columns): at most 6 each, so they never carry.  A field s = 4h + l
+    is l + h mod 3, and u = l + h is at most 3, so s is 0 mod 3 exactly when
+    u's two bits agree.  Other primes gather the basis at each block's points.
+    Both take _GATHER_CHUNK blocks at a time.
+    """
+    if p == 3:
+        code = _packed_columns(basis)
+
+        def fails(c: np.ndarray) -> np.ndarray:
+            s = code[c[:, 0]] + code[c[:, 1]] + code[c[:, 2]]
+            u = (s & _LOW_TWO) + ((s >> 2) & _LOW_ONE)
+            return ((u ^ (u >> 1)) & _LOW_ONE).any(axis=1)
+    else:
+        def fails(c: np.ndarray) -> np.ndarray:
+            return (basis[:, c].sum(axis=2) % p).any(axis=0)
+
     chunks = [blocks[i:i + _GATHER_CHUNK] for i in range(0, len(blocks), _GATHER_CHUNK)]
-    return np.concatenate([(basis[:, c].sum(axis=2) % p).any(axis=0) for c in chunks or [blocks]])
+    return np.concatenate([fails(c) for c in chunks or [blocks]])
 
 
 def is_orthogonal(design, s: Subspace) -> bool:

@@ -105,6 +105,48 @@ def test_verify_sts_fano():
     assert verify_sts(d).ok
 
 
+def pair_report(v, blocks):
+    """Oracle: "pair (p, q) covered n times" for every pair covered more than
+    once, ascending, then every pair covered 0 times, ascending."""
+    cover = {pair: 0 for pair in combinations(range(v), 2)}
+    for b in blocks:
+        for pair in combinations(sorted(b), 2):
+            cover[pair] += 1
+    over = [f"pair {p} covered {n} times" for p, n in cover.items() if n > 1]
+    return tuple(over + [f"pair {p} covered 0 times" for p, n in cover.items() if n == 0])
+
+
+@pytest.mark.parametrize("v,blocks", [
+    (4, ((0, 1, 2), (0, 1, 3))),
+    (7, ((0, 1, 2),) + FANO[1:]),
+    (7, FANO[:1] + ((0, 1, 5),) + FANO[2:]),
+])
+def test_verify_sts_with_as_many_pair_codes_as_pairs_names_every_fault(v, blocks):
+    # 3b = v(v-1)/2 pair codes, some pair covered twice and another missing:
+    # the marks show a repeated code, and the sorted count names every fault.
+    assert 3 * len(blocks) == v * (v - 1) // 2
+    want = pair_report(v, blocks)
+    rep = verify_sts(BlockDesign(v, np.array(blocks)))
+    assert not rep.ok and rep.violations == want
+    assert "covered 2 times" in want[0] and "covered 0 times" in want[-1]
+    with pytest.raises(ValueError) as info:
+        StsInstance(BlockDesign(v, blocks))
+    assert str(info.value) == f"not an STS: {want[0]}"
+
+
+def test_verify_sts_passes_by_marks_without_a_sort(monkeypatch):
+    # A passing system of exactly v(v-1)/2 pair codes never reaches np.unique.
+    designs = [BlockDesign(7, FANO), affine_geometry(3).sts.design,
+               compose(random_decomposition(2, 7, random.Random(1))).design]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique on a passing system")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    assert all(verify_sts(d).ok for d in designs)
+    assert verify_sts(BlockDesign(0, ())).ok and verify_sts(BlockDesign(1, ())).ok
+
+
 def test_sts_instance_rejects_invalid():
     with pytest.raises(ValueError):
         StsInstance(BlockDesign(4, ((0, 1, 2),)))
@@ -352,3 +394,62 @@ def test_block_design_sorts_by_one_key_at_every_v(v):
     with pytest.raises(ValueError) as info:
         BlockDesign(v, np.vstack([rows, rows[[4, 2]]]))
     assert str(info.value) == "duplicate block (0, 1, 3)"
+
+
+def test_block_design_never_freezes_or_aliases_the_callers_array():
+    # Sorted rows in increasing order skip the sorts, but the design still
+    # holds its own read-only copy: of the caller's array, or of its view.
+    whole = np.array(affine_geometry(3).sts.design.array)
+    for given in (whole, whole[5:40], whole[::2]):
+        before = given.copy()
+        d = BlockDesign(27, given)
+        assert given.flags.writeable and not np.shares_memory(d.array, given)
+        assert not d.array.flags.writeable
+        given[0] = (24, 25, 26)
+        assert d.array.tolist() == before.tolist()
+        given[:] = before
+
+
+def test_block_design_takes_sorted_rows_without_a_sort(monkeypatch):
+    rows = np.array(affine_geometry(3).sts.design.array)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sorted rows sorted again")
+
+    monkeypatch.setattr(np, "sort", refuse)
+    monkeypatch.setattr(np, "argsort", refuse)
+    assert BlockDesign(27, rows).array.tolist() == rows.tolist()
+
+
+def test_block_design_sorted_rows_past_int64_codes():
+    # At v = 2^21 + 1 the keys are (a, b, c) records, which take the argsort:
+    # rows given sorted or reversed make the same array and lookups.
+    v = 2**21 + 1
+    rows = np.array([(0, 1, 2), (0, 1, v - 1), (5, 6, 7), (v - 3, v - 2, v - 1)])
+    d, r = BlockDesign(v, rows), BlockDesign(v, rows[::-1])
+    assert d.array.tolist() == r.array.tolist() == rows.tolist()
+    assert d.lookup(rows[::-1]).tolist() == r.lookup(rows[::-1]).tolist() == [3, 2, 1, 0]
+    with pytest.raises(ValueError) as info:
+        BlockDesign(v, rows[[0, 1, 1, 2]])
+    assert str(info.value) == f"duplicate block (0, 1, {v - 1})"
+
+
+@pytest.mark.parametrize("rows,text", [
+    ([[0, 1, 2], [0, 1, 2]], "duplicate block (0, 1, 2)"),
+    ([[0, 1, 2], [2, 1, 0]], "duplicate block (0, 1, 2)"),
+    ([[3, 4, 5], [0, 1, 2], [3, 4, 5]], "duplicate block (3, 4, 5)"),
+    ([[0, 1, 2], [3, 4, 9]], "block (3, 4, 9) out of range for v=9"),
+    ([[0, 1, 2], [4, 3, 3]], "block (4, 3, 3) does not have 3 distinct points"),
+    ([[0, 1, 2], [-1, 3, 4]], "block (-1, 3, 4) out of range for v=9"),
+])
+def test_block_design_texts_for_rows_sorted_or_not(rows, text):
+    with pytest.raises(ValueError) as info:
+        BlockDesign(9, np.array(rows))
+    assert str(info.value) == text
+
+
+@pytest.mark.parametrize("rows", [[[2, 1, 0], [5, 4, 3]], [[3, 4, 5], [0, 1, 2]], [[6, 8, 7], [0, 1, 2]]])
+def test_block_design_orders_unsorted_rows(rows):
+    given = np.array(rows)
+    assert BlockDesign(9, given).array.tolist() == sorted(sorted(r) for r in rows)
+    assert given.tolist() == rows

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trisys import gf3
 from trisys.constructions import affine_geometry, small_sts
@@ -181,3 +183,55 @@ def test_permute_columns_roundtrip():
     pm = gf3.permute_columns(m, image)
     for j in range(6):
         assert list(pm[:, image[j]]) == list(m[:, j])
+
+
+def gathered_sums(basis, blocks, p):
+    """Oracle: every basis row's sum over every block, gathered in full."""
+    return (basis[:, blocks].sum(axis=2) % p).any(axis=0)
+
+
+@st.composite
+def bases_and_blocks(draw):
+    """A basis of dim rows (entries -4..7, so some need reducing) on v points,
+    and blocks in shuffled order: some planted to pass, on points 3i, 3i+1
+    and 3i+2 whose third column is minus the sum of the other two, and the
+    rest random, most of which fail."""
+    dim = draw(st.sampled_from([0, 1, 20, 21, 22, 42, 43]))
+    v = draw(st.integers(3, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = rng.integers(-4, 8, size=(dim, v))
+    planted = draw(st.integers(0, v // 3))
+    starts = 3 * np.arange(planted)
+    basis[:, starts + 2] = -(basis[:, starts] + basis[:, starts + 1]) + 3 * rng.integers(-1, 2)
+    random_blocks = rng.integers(0, v, size=(draw(st.integers(0, 40)), 3))
+    blocks = np.vstack([starts[:, None] + np.arange(3), random_blocks])
+    order = rng.permutation(len(blocks))
+    chunk = draw(st.sampled_from([1, 4, 7, 1 << 16]))
+    return basis, blocks[order], order < planted, chunk
+
+
+@settings(max_examples=150, deadline=None)
+@given(bases_and_blocks())
+def test_packed_sums_match_the_gather(case):
+    # p = 3 sums the points' packed columns: dims straddle the 21 fields of
+    # a word, and chunks of 1, 4 and 7 blocks put blocks across chunk ends.
+    basis, blocks, planted, chunk = case
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gf3, "_GATHER_CHUNK", chunk)
+        got = gf3._nonzero_sums(basis, blocks, 3)
+    want = gathered_sums(basis, blocks, 3)
+    assert got.dtype == bool and got.tolist() == want.tolist()
+    assert not got[planted].any()
+
+
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_other_primes_take_the_gather(monkeypatch, p):
+    def refuse(basis):
+        raise AssertionError("packed columns at p != 3")
+
+    monkeypatch.setattr(gf3, "_packed_columns", refuse)
+    rng = np.random.default_rng(p)
+    basis, blocks = rng.integers(0, p, size=(5, 12)), rng.integers(0, 12, size=(30, 3))
+    assert gf3._nonzero_sums(basis, blocks, p).tolist() == gathered_sums(basis, blocks, p).tolist()
+    with pytest.raises(AssertionError, match="packed columns"):
+        gf3._nonzero_sums(basis, blocks, 3)
