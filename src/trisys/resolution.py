@@ -10,14 +10,13 @@ Both passes run `exact_cover`'s Algorithm X on int bitsets: the open
 column with the fewest alive candidates first (leftmost on ties), rows in
 insertion order, so classes and resolutions come out in a fixed order.
 Pass (a) asks for every class (up to the cap), so `exact_cover` expands
-whole subtrees of it in numpy level sweeps; a sweep keeps a subtree only
-when the depth-first search would have finished it within the budget and
-the cap too, so the classes, their order and the node counts are those of
-the plain depth-first search.  Pass (b) asks for one resolution and stays
-depth-first.  It has one row per class, and its column masks take
-b * classes / 8 bytes (about 15 MB for the 117 blocks of AG(3) at the
-default cap of 10^6 classes); clash masks are ORed from them per row try,
-since a classes x classes table would need classes^2 / 8 bytes.
+whole subtrees of it in numpy level sweeps, with the classes, order and
+node counts of the plain depth-first search, and hands them to pass (b) as
+one (classes, v/3) array of block indices in the smallest unsigned dtype
+holding b, with no Python object per class.  Pass (b) asks for one
+resolution and stays depth-first; its memory is that array, classes * v/3
+* itemsize bytes, plus the column masks, b * classes / 8 bytes (about 9 and
+15 MB for the 117 blocks of AG(3) at the default cap of 10^6 classes).
 """
 
 from __future__ import annotations
@@ -52,37 +51,38 @@ class SearchOutcome:
         return self.resolution is None and not self.budget_exceeded
 
 
+def _parallel_classes(d: BlockDesign, max_classes: int, node_budget: int):
+    """`enumerate_parallel_classes` with the classes as the rows of one array."""
+    SearchLimits(node_budget, max_classes)  # a negative limit is a ValueError
+    if d.v % 3 != 0:
+        return (d.array[:0, :0], True, 0)  # no class, as a (0, 0) array
+    res = solve_exact_cover(d.v, d.array, max_solutions=max_classes + 1, node_budget=node_budget)
+    classes = res.index.reshape(len(res.bounds) - 1, d.v // 3)
+    return (classes[:max_classes], res.complete and len(classes) <= max_classes, res.nodes)
+
+
 def enumerate_parallel_classes(
     d: BlockDesign, max_classes=SearchLimits.max_classes, node_budget=SearchLimits.node_budget
 ) -> tuple[tuple[tuple[int, ...], ...], bool, int]:
     """All block-index sets partitioning the points; (classes, complete, nodes)."""
-    SearchLimits(node_budget, max_classes)  # a negative limit is a ValueError
-    if d.v % 3 != 0:
-        return ((), True, 0)
-    res = solve_exact_cover(
-        d.v, d.array.tolist(), max_solutions=max_classes + 1, node_budget=node_budget
-    )
-    complete = res.complete and len(res.solutions) <= max_classes
-    return (res.solutions[:max_classes], complete, res.nodes)
+    classes, complete, nodes = _parallel_classes(d, max_classes, node_budget)
+    return (tuple(map(tuple, classes.tolist())), complete, nodes)
 
 
 def search_resolution(d: BlockDesign, limits: SearchLimits | None = None) -> SearchOutcome:
     """Deterministic resolution search on any design with 3-element blocks."""
     limits = limits or SearchLimits()
-    classes, complete_a, nodes_a = enumerate_parallel_classes(
-        d, limits.max_classes, limits.node_budget
-    )
+    classes, complete_a, nodes_a = _parallel_classes(d, limits.max_classes, limits.node_budget)
     remaining = max(limits.node_budget - nodes_a, 0)
     res_b = solve_exact_cover(len(d.array), classes, max_solutions=1, node_budget=remaining)
     nodes = nodes_a + res_b.nodes
-    if res_b.solutions:
-        resolution = Resolution(sorted(classes[i] for i in res_b.solutions[0]))
-        verify_resolution(d, resolution).require(
-            AssertionError, "search produced an invalid resolution"
-        )
+    if len(res_b.bounds) > 1:
+        chosen = classes[res_b.index]  # sorted as tuples: by least blocks, as they are disjoint
+        resolution = Resolution(chosen[chosen[:, :1].ravel().argsort()])
+        verify_resolution(d, resolution).require(AssertionError,
+                                                 "search produced an invalid resolution")
         return SearchOutcome(resolution, False, len(classes), nodes)
-    budget_exceeded = not (complete_a and res_b.complete)
-    return SearchOutcome(None, budget_exceeded, len(classes), nodes)
+    return SearchOutcome(None, not (complete_a and res_b.complete), len(classes), nodes)
 
 
 def find_resolution(s: StsInstance, limits: SearchLimits | None = None) -> Resolution | None:

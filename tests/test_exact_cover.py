@@ -5,11 +5,14 @@ oracle over every subset of a few random rows; the pinned cases fix the
 edge behaviour (no columns, empty rows, repeated and bad column indices).
 A second hypothesis test compares the search with and without the level
 sweep (`_SWEEP_WORDS` set to 0 turns it off): the results must be equal,
-node counts included, under every cap and budget.
+node counts included, under every cap and budget.  A third compares rows
+given as a 2-D int array with the same rows given as tuples: results, and
+the text of a bad column's error.
 """
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,3 +218,64 @@ def test_sweep_takes_a_whole_tree():
         mp.setattr(exact_cover, "_SWEEP_WORDS", 0)
         assert ec.solve(max_solutions=16) == res
     assert len(res.solutions) == 15 and res.complete
+
+
+@st.composite
+def array_instances(draw):
+    """Rows of one width in a 2-D int array of some dtype, repeats and
+    unsorted columns included; a bad column, when drawn, is in some row."""
+    n_cols = draw(st.integers(0, 9))
+    dtype = draw(st.sampled_from(["int64", "int16", "uint8", "uint16"]))
+    lo = -3 if dtype.startswith("int") else 0
+    col = st.integers(0, n_cols - 1) if n_cols else st.nothing()
+    if draw(st.booleans()):  # some rows may hold columns out of range
+        col = st.integers(lo, n_cols + 2)
+    width = draw(st.integers(0, 4)) if n_cols else 0
+    rows = draw(st.lists(st.lists(col, min_size=width, max_size=width), max_size=70))
+    return n_cols, np.array(rows, dtype).reshape(len(rows), width)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(array_instances(), st.one_of(st.integers(0, 5), st.just(10**9)), st.integers(0, 400))
+def test_array_rows_match_tuple_rows(instance, cap, budget):
+    n_cols, table = instance
+    as_tuples = [tuple(r) for r in table.tolist()]
+    try:
+        expected = solve_exact_cover(n_cols, as_tuples, max_solutions=cap, node_budget=budget)
+    except ValueError as error:
+        with pytest.raises(ValueError) as info:
+            solve_exact_cover(n_cols, table, max_solutions=cap, node_budget=budget)
+        assert str(info.value) == str(error)
+        return
+    got = solve_exact_cover(n_cols, table, max_solutions=cap, node_budget=budget)
+    assert got == expected
+    assert got.solutions == expected.solutions
+    assert hash(got) == hash(expected)
+
+
+@pytest.mark.parametrize(
+    "n_cols, rows, dtype, text",
+    [
+        (3, [(0, 1), (-1, 2)], "int64", "row 1 has column -1, not in range(3)"),
+        (3, [(3, 0)], "uint8", "row 0 has column 3, not in range(3)"),
+        (3, [(2, 2), (-2, 5)], "int16", "row 1 has column -2, not in range(3)"),
+        (3, [(0, 1), (1, 9), (-1, 0)], "int64", "row 1 has column 9, not in range(3)"),
+        (0, [(0,)], "uint8", "row 0 has column 0, not in range(0)"),
+    ],
+)
+def test_bad_column_in_an_array_raises_the_tuple_text(n_cols, rows, dtype, text):
+    with pytest.raises(ValueError) as info:
+        solve_exact_cover(n_cols, np.array(rows, dtype))
+    assert str(info.value) == text
+    with pytest.raises(ValueError) as info:
+        solve_exact_cover(n_cols, rows)
+    assert str(info.value) == text
+
+
+def test_array_rows_on_knuths_example():
+    table = np.array([r + (r[0],) * (3 - len(r)) for r in KNUTH_ROWS], np.uint8)
+    res = solve_exact_cover(7, table, max_solutions=10)
+    assert res == solve_exact_cover(7, KNUTH_ROWS, max_solutions=10)
+    assert res.solutions == ((0, 3, 4),) and res.complete
+    held_wider = CoverResult([np.array([[0, 3, 4]], np.uint16)], True, res.nodes)
+    assert res == held_wider and hash(res) == hash(held_wider)
