@@ -62,9 +62,9 @@ _PACK_ROWS = 1 << 8
 
 @dataclass(frozen=True, eq=False, init=False)
 class CoverResult(_ArrayValue):
-    """Solution i is index[bounds[i]:bounds[i + 1]], as in `Resolution`, the
-    index in its least dtype, so equal results hash alike.  Each item given
-    is a solution, or a 2-D array whose rows are solutions."""
+    """Solution i is index[bounds[i]:bounds[i + 1]], as in `Resolution`, and
+    the index takes the smallest unsigned dtype, so equal results hash alike.
+    Each item given is a solution, or a 2-D array whose rows are solutions."""
 
     index: np.ndarray
     bounds: np.ndarray
@@ -124,9 +124,9 @@ class _Sweep:
         self.row_bits = np.zeros((n_rows, n_cols // 64 + 1), "<u8")
         np.bitwise_or.at(self.row_bits, (row_ids, cols >> 6), _bit(cols))
         # Each column's rows in row order, padded with row n_rows (never alive).
-        n = np.bincount(cols, minlength=n_cols)
-        self.col_rows = rows = np.full((n_cols, n.max(initial=0)), n_rows)
-        rows[np.arange(rows.shape[1]) < n[:, None]] = row_ids[cols.argsort(kind="stable")]
+        per_col = np.bincount(cols, minlength=n_cols)
+        self.col_rows = rows = np.full((n_cols, per_col.max(initial=0)), n_rows)
+        rows[np.arange(rows.shape[1]) < per_col[:, None]] = row_ids[cols.argsort(kind="stable")]
 
     def __call__(
         self, open_cols: list[int], alive: int, base: list[int], budget: int, cap: int
