@@ -208,7 +208,7 @@ class ExactCover:
 
     def add_row(self, cols: Iterable[int]) -> int:
         """Append a row (repeated columns merged) and return its index."""
-        return self.add_rows(np.array([list(cols)], np.int64))
+        return self.add_rows(np.array([list(cols)]))  # object dtype past int64: the range error
 
     def add_rows(self, rows: np.ndarray) -> int:
         """Append a 2-D int array's rows as `add_row` would; return the first's index."""

@@ -279,3 +279,9 @@ def test_array_rows_on_knuths_example():
     assert res.solutions == ((0, 3, 4),) and res.complete
     held_wider = CoverResult([np.array([[0, 3, 4]], np.uint16)], True, res.nodes)
     assert res == held_wider and hash(res) == hash(held_wider)
+
+
+def test_column_past_int64_raises_the_range_error():
+    with pytest.raises(ValueError) as info:
+        solve_exact_cover(3, [(0, 1), (2**70, 0)])
+    assert str(info.value) == f"row 1 has column {2**70}, not in range(3)"
