@@ -77,8 +77,8 @@ def search_resolution(d: BlockDesign, limits: SearchLimits | None = None) -> Sea
     res_b = solve_exact_cover(len(d.array), classes, max_solutions=1, node_budget=remaining)
     nodes = nodes_a + res_b.nodes
     if len(res_b.bounds) > 1:
-        chosen = classes[res_b.index]  # sorted as tuples: by least blocks, as they are disjoint
-        resolution = Resolution(chosen[chosen[:, :1].ravel().argsort()])
+        # Already in tuple order: pass A lists classes by their least block, through point 0.
+        resolution = Resolution(classes[res_b.index])
         verify_resolution(d, resolution).require(AssertionError,
                                                  "search produced an invalid resolution")
         return SearchOutcome(resolution, False, len(classes), nodes)
