@@ -216,7 +216,7 @@ def test_search_matches_the_tuple_pipeline(which, rng, node_budget, max_classes)
 
 def test_search_peak_memory_on_ag3():
     """No Python object per parallel class: AG(3) has 17,641 classes, and
-    a tuple for each, kept for both passes, took about 4.7 MB."""
+    a tuple for each, kept for both passes, took about 4.6 MB."""
     d = affine_geometry(3).sts.design
     search_resolution(d)  # first-call allocations (imports, caches) are not the search's
     tracemalloc.start()
